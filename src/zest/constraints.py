@@ -25,8 +25,6 @@ __all__ = [
     "TokenConstraint",
     "TrieLanguage",
     "DfaPattern",
-    "trie_constraint",
-    "dfa_constraint",
     "blackbox_constraint",
     "mask_constraint",
 ]
@@ -258,13 +256,3 @@ class DfaPattern:
     def constraint_at(self, prefix: str) -> TokenConstraint:
         mask = self.valid_next(prefix)
         return TokenConstraint(lambda toks: mask[toks], self.counter)
-
-
-def trie_constraint(lang: TrieLanguage, prefix: str) -> TokenConstraint:
-    """Per-prefix constraint derived from a finite string language."""
-    return lang.constraint_at(prefix)
-
-
-def dfa_constraint(pattern: DfaPattern, prefix: str) -> TokenConstraint:
-    """Per-prefix constraint derived from an automaton pattern."""
-    return pattern.constraint_at(prefix)

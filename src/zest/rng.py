@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -23,8 +23,3 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def spawn(seed: int, n: int, *stream: int) -> list[np.random.Generator]:
-    """Return ``n`` independent generators under ``(seed, *stream)``."""
-    return [make_rng(seed, *stream, i) for i in range(n)]

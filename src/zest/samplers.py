@@ -695,7 +695,10 @@ def _gawrs_chunk(prior, c, n, rng, L, R) -> BatchWeighted:
         # budget the pending novel draw never happens (and is not
         # evaluated), exactly as in the with-replacement process.
         q = rem.mass[alive]
-        phantoms = rng.geometric(np.maximum(1.0 - q, 1e-300)) - 1
+        # Once removed mass rounds to 1 the geometric count saturates at the
+        # int64 maximum; clipping it at R (which already exhausts any budget)
+        # keeps r + phantoms from wrapping negative.
+        phantoms = np.minimum(rng.geometric(np.maximum(1.0 - q, 1e-300)) - 1, R)
         over = r[alive] + phantoms >= R
         r[alive[over]] = R
         alive = alive[~over]

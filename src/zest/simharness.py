@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,5 +314,8 @@ def runtime_heatmap(
 def _run_jobs(fn, jobs, workers: int):
     if workers <= 1:
         return [fn(j) for j in jobs]
+    # Imported here so that single-process callers do not pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (workers * 4) or 1)))

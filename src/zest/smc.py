@@ -1,6 +1,6 @@
 """Sequential Monte Carlo over toy language models.
 
-Two engines share one skeleton. The twist engine proposes tokens straight
+Two engines share one loop. The twist engine proposes tokens straight
 from the model and multiplies weights by the 0/1 constraint indicator.
 The properly-weighted-proposal engine draws (token, weight) pairs from a
 weighted rejection sampler whose weight is an unbiased estimate of the
@@ -8,10 +8,14 @@ local valid mass; multiplying those estimates into the particle weight
 keeps the ensemble unbiased for the global satisfaction probability g
 while sampling tokens exactly from the locally constrained posterior.
 
-Each particle owns an independent counter-based random stream derived
-from (run seed, particle index), so extension order cannot change results
-and resampling never correlates particle futures. Resampling itself draws
-from a separate dedicated stream.
+The population is a list of prefixes with weight and active arrays. At
+every step the live particles are grouped by prefix: their next-token
+law and local constraint depend on the prefix alone, so each group costs
+one model call, one constraint derivation and one batch proposal call
+for all of its particles. The group of rank r in sorted-prefix order at
+step t draws from the counter-based stream (seed, 0, t, r), so results
+depend on the seed only, never on hash or iteration order. Resampling
+draws from the separate stream (seed, 1).
 """
 
 from __future__ import annotations
@@ -23,17 +27,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import TokenConstraint
-from .dist import Categorical, sample
+from .dist import Categorical, sample, sample_many
 from .errors import AllDead, DeadPrefix, NoValidToken
 from .oracle import token_mask
 from .rng import make_rng
-from .samplers import awrs, cawrs, cwrs, gawrs, rawrs, wrs
+from .samplers import (
+    SamplerConfig,
+    awrs_batch,
+    cawrs_batch,
+    cwrs_batch,
+    gawrs_batch,
+    rawrs_batch,
+    wrs_batch,
+)
 from .samplers import ars as ars_sampler
 from .toylm import ToyLM
 
 __all__ = [
     "Particle",
     "Ensemble",
+    "Proposal",
     "ess",
     "resample_multinomial",
     "resample_stratified",
@@ -49,7 +62,7 @@ __all__ = [
 DEFAULT_MAX_STEPS = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class Particle:
     """One partial or complete string with its accumulated weight."""
 
@@ -83,39 +96,31 @@ def ess(weights) -> float:
     return total * total / sq
 
 
-def _freshen(particles: list[Particle], idx: np.ndarray, mean_w: float) -> list[Particle]:
-    return [
-        Particle(prefix=particles[i].prefix, weight=mean_w, active=particles[i].active)
-        for i in idx
-    ]
-
-
-def resample_multinomial(particles: list[Particle], rng: np.random.Generator) -> list[Particle]:
-    """N independent draws proportional to weight; weights reset to W/N."""
-    w = np.array([p.weight for p in particles])
+def _normalized(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
     total = float(w.sum())
     if total <= 0.0:
         raise AllDead("cannot resample an all-dead population")
-    n = len(particles)
-    idx = rng.choice(n, size=n, p=w / total)
-    return _freshen(particles, idx, total / n)
+    return w / total
 
 
-def resample_stratified(particles: list[Particle], rng: np.random.Generator) -> list[Particle]:
-    """One uniform per stratum of the cumulative weights; weights W/N.
+def resample_multinomial(weights, rng: np.random.Generator) -> np.ndarray:
+    """N independent ancestor indices drawn proportional to weight."""
+    p = _normalized(weights)
+    n = p.shape[0]
+    return rng.choice(n, size=n, p=p)
+
+
+def resample_stratified(weights, rng: np.random.Generator) -> np.ndarray:
+    """Ancestor indices from one uniform per stratum of the cumulative weights.
 
     Copy counts are within one of their expectations N * w_i / W, unlike
     the multinomial scheme.
     """
-    w = np.array([p.weight for p in particles])
-    total = float(w.sum())
-    if total <= 0.0:
-        raise AllDead("cannot resample an all-dead population")
-    n = len(particles)
+    p = _normalized(weights)
+    n = p.shape[0]
     u = (np.arange(n) + rng.random(n)) / n
-    idx = np.searchsorted(np.cumsum(w / total), u, side="right")
-    idx = np.minimum(idx, n - 1)
-    return _freshen(particles, idx, total / n)
+    return np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), n - 1)
 
 
 _RESAMPLERS = {
@@ -123,59 +128,56 @@ _RESAMPLERS = {
     "stratified": resample_stratified,
 }
 
-# A proposal maps (prior, constraint, rng) to a (token, weight) pair that
-# is properly weighted for the unnormalized local target prior * c.
-Proposal = Callable[[Categorical, TokenConstraint, np.random.Generator], tuple[int, float]]
+# A proposal maps (prior, constraint, n, rng) to n tokens and n weights;
+# each (token, weight) row is properly weighted for the unnormalized local
+# target prior * c. It may raise NoValidToken when z = 0.
+Proposal = Callable[[Categorical, TokenConstraint, int, np.random.Generator], tuple[np.ndarray, np.ndarray]]
+
+
+def _exact(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator):
+    local = token_mask(prior, c)
+    return sample_many(local.post, n, rng), np.full(n, local.z)
+
+
+# Weighted batch kernels by proposal name, with the SamplerConfig fields
+# each one takes.
+_KERNELS = {
+    "awrs": (awrs_batch, ()),
+    "wrs": (wrs_batch, ("extra_loops",)),
+    "cawrs": (cawrs_batch, ("theta0", "theta1")),
+    "cwrs": (cwrs_batch, ("extra_loops", "budget")),
+    "gawrs": (gawrs_batch, ("extra_loops", "budget")),
+    "rawrs": (rawrs_batch, ("budget",)),
+}
 
 
 def weighted_proposal(name: str, **params) -> Proposal:
-    """Build a properly weighted local proposal by sampler name.
+    """Build a properly weighted batch proposal by sampler name.
 
-    ``exact`` computes the local posterior by full token masking and
-    returns the true z as the weight; the rest return unbiased estimates.
+    ``exact`` computes the local posterior by full token masking, once per
+    call, and returns the true z as every row's weight; the rest run the
+    named ``*_batch`` sampler and return its unbiased estimates. ``params``
+    are SamplerConfig fields; each sampler reads the ones it takes.
     """
-
-    def _exact(prior, c, rng):
-        local = token_mask(prior, c)
-        return sample(local.post, rng), local.z
-
-    def _awrs(prior, c, rng):
-        out = awrs(prior, c, rng)
-        return out.token, out.zhat
-
-    def _wrs(prior, c, rng):
-        out = wrs(prior, c, rng, extra_loops=params.get("extra_loops", 1))
-        return out.token, out.zhat
-
-    def _cawrs(prior, c, rng):
-        out = cawrs(prior, c, rng, theta0=params.get("theta0", 0.25), theta1=params.get("theta1", 0.75))
-        return out.token, out.zhat
-
-    def _cwrs(prior, c, rng):
-        out = cwrs(prior, c, rng, extra_loops=params.get("extra_loops", 1), budget=params.get("budget", 8))
-        return out.token, out.zhat
-
-    def _gawrs(prior, c, rng):
-        out = gawrs(prior, c, rng, extra_loops=params.get("extra_loops", 1), budget=params.get("budget", 8))
-        return out.token, out.zhat
-
-    def _rawrs(prior, c, rng):
-        out = rawrs(prior, c, rng, budget=params.get("budget", 8))
-        return out.token, out.zhat
-
-    table = {
-        "exact": _exact,
-        "awrs": _awrs,
-        "wrs": _wrs,
-        "cawrs": _cawrs,
-        "cwrs": _cwrs,
-        "gawrs": _gawrs,
-        "rawrs": _rawrs,
-    }
+    if name == "exact":
+        return _exact
     try:
-        return table[name]
+        kernel, keys = _KERNELS[name]
     except KeyError:
-        raise KeyError(f"unknown proposal {name!r}; choices: {sorted(table)}")
+        raise KeyError(f"unknown proposal {name!r}; choices: {sorted([*_KERNELS, 'exact'])}") from None
+    config = SamplerConfig(**params)
+    kwargs = {key: getattr(config, key) for key in keys}
+
+    def propose(prior, c, n, rng):
+        out = kernel(prior, c, n, rng, **kwargs)
+        return out.tokens, out.zhats
+
+    return propose
+
+
+def _twist(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator):
+    tokens = sample_many(prior, n, rng)
+    return tokens, c.evaluate_many(tokens).astype(np.float64)
 
 
 def _finalize(particles: list[Particle], eval_counts: list[int], steps: int) -> Ensemble:
@@ -199,7 +201,7 @@ def _finalize(particles: list[Particle], eval_counts: list[int], steps: int) -> 
 def _run_smc(
     lm: ToyLM,
     family,
-    extend,
+    proposal: Proposal,
     n_particles: int,
     tau: float,
     seed: int,
@@ -211,42 +213,59 @@ def _run_smc(
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
     resampler = _RESAMPLERS[resample]
-    init_w = 1.0 if family.is_valid_prefix("") else 0.0
-    particles = [Particle(prefix="", weight=init_w, active=True) for _ in range(n_particles)]
-    gens = [make_rng(seed, 0, i) for i in range(n_particles)]
+    n = n_particles
+    prefixes = [""] * n
+    weights = np.full(n, 1.0 if family.is_valid_prefix("") else 0.0)
+    active = np.ones(n, dtype=bool)
     resample_rng = make_rng(seed, 1)
     eval_counts: list[int] = []
     steps = 0
 
-    while any(p.active for p in particles) and steps < max_steps:
+    while steps < max_steps:
+        # Dead particles are not worth extending; resampling will replace them.
+        active &= weights > 0.0
+        if not active.any():
+            break
         before = family.counter.count
-        for i, p in enumerate(particles):
-            if not p.active:
+        groups: dict[str, list[int]] = {}
+        for i in np.flatnonzero(active).tolist():
+            groups.setdefault(prefixes[i], []).append(i)
+        for rank, prefix in enumerate(sorted(groups)):
+            rows = np.array(groups[prefix])
+            prior = lm.next_dist(prefix)
+            c = family.constraint_at(prefix)
+            try:
+                tokens, w = proposal(prior, c, rows.shape[0], make_rng(seed, 0, steps, rank))
+            except NoValidToken:
+                weights[rows] = 0.0
+                active[rows] = False
                 continue
-            if p.weight <= 0.0:
-                # Dead particles are not worth extending; resampling will
-                # replace them.
-                p.active = False
-                continue
-            extend(p, gens[i])
+            weights[rows] *= w
+            tokens = np.asarray(tokens)
+            ended = tokens == lm.eos
+            active[rows[ended]] = False
+            grown = tokens[~ended].tolist()
+            children = {t: prefix + lm.alphabet[t] for t in set(grown)}
+            for i, t in zip(rows[~ended].tolist(), grown):
+                prefixes[i] = children[t]
         steps += 1
         eval_counts.append(family.counter.count - before)
 
-        weights = [p.weight for p in particles]
-        if math.fsum(weights) <= 0.0:
-            raise AllDead(f"all {n_particles} particles died at step {steps}")
+        total = float(weights.sum())
+        if total <= 0.0:
+            raise AllDead(f"all {n} particles died at step {steps}")
         # Strict inequality: ties at tau * N do not trigger a resample.
-        if ess(weights) < tau * n_particles:
-            particles = resampler(particles, resample_rng)
+        if ess(weights) < tau * n:
+            idx = resampler(weights, resample_rng)
+            prefixes = [prefixes[i] for i in idx.tolist()]
+            active = active[idx]
+            weights = np.full(n, total / n)
 
-    for p in particles:
-        if p.active:
-            # Ran into the step cutoff without end-of-string.
-            p.weight = 0.0
-            p.active = False
-    weights = [p.weight for p in particles]
-    if math.fsum(weights) <= 0.0:
+    # Particles still active ran into the step cutoff without end-of-string.
+    weights[active] = 0.0
+    if float(weights.sum()) <= 0.0:
         raise AllDead("no particle completed a string within the step limit")
+    particles = [Particle(s, w, False) for s, w in zip(prefixes, weights.tolist())]
     return _finalize(particles, eval_counts, steps)
 
 
@@ -265,19 +284,7 @@ def smc_twist(
     is multiplied by the 0/1 indicator that its extended prefix (or, on
     end-of-string, the complete string) still satisfies the constraint.
     """
-
-    def extend(p: Particle, rng: np.random.Generator):
-        prior = lm.next_dist(p.prefix)
-        token = sample(prior, rng)
-        c = family.constraint_at(p.prefix)
-        ok = bool(c(token))
-        if token == lm.eos:
-            p.active = False
-        else:
-            p.prefix += lm.alphabet[token]
-        p.weight *= 1.0 if ok else 0.0
-
-    return _run_smc(lm, family, extend, n_particles, tau, seed, max_steps, resample)
+    return _run_smc(lm, family, _twist, n_particles, tau, seed, max_steps, resample)
 
 
 def smc_pwp(
@@ -298,27 +305,14 @@ def smc_pwp(
     the local valid mass. The resulting g_hat is unbiased for the global
     satisfaction probability, and the posterior estimate converges to the
     globally conditioned distribution. Proposals returning weight zero
-    (clipped variants) yield dead particles that resampling removes.
+    (clipped variants) yield dead particles that resampling removes; a
+    proposal raising NoValidToken kills the particles of its prefix group.
+    ``proposal`` is a sampler name for ``weighted_proposal`` or a batch
+    ``Proposal`` callable.
     """
     if isinstance(proposal, str):
         proposal = weighted_proposal(proposal, **proposal_params)
-
-    def extend(p: Particle, rng: np.random.Generator):
-        prior = lm.next_dist(p.prefix)
-        c = family.constraint_at(p.prefix)
-        try:
-            token, w = proposal(prior, c, rng)
-        except NoValidToken:
-            p.weight = 0.0
-            p.active = False
-            return
-        if token == lm.eos:
-            p.active = False
-        else:
-            p.prefix += lm.alphabet[token]
-        p.weight *= w
-
-    return _run_smc(lm, family, extend, n_particles, tau, seed, max_steps, resample)
+    return _run_smc(lm, family, proposal, n_particles, tau, seed, max_steps, resample)
 
 
 def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:

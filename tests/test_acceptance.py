@@ -157,7 +157,8 @@ def test_criterion_5_end_to_end_bias_correction(capsys):
     """The corrected posterior and the biased local rollouts coexist."""
     lm = example_a1()
     lang = TrieLanguage(["aa", "ba"], alphabet=lm.alphabet)
-    ens = smc_pwp(lm, lang, proposal="awrs", n_particles=10**4, tau=0.5, seed=SEED)
+    # P(aa) has SD 0.0017 across seeds at N = 1e5, so +-0.01 is 5.7 SD.
+    ens = smc_pwp(lm, lang, proposal="awrs", n_particles=10**5, tau=0.5, seed=SEED)
     post = ens.posterior_estimate
     n_roll = 10**4
     first_a = sum(

@@ -1,10 +1,15 @@
 """Command-line interface: methods, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import zest
 from zest.cli import main
 
 
@@ -108,6 +113,27 @@ class TestGenerate:
         a, b = run_json(runner, args), run_json(runner, args)
         a.pop("wall_time"), b.pop("wall_time")
         assert a == b
+
+    def test_smc_output_independent_of_hash_seed(self, tmp_path):
+        # Many prefix groups per step: if grouping order followed string
+        # hashes, the streams would land on different groups.
+        from zest.toylm import random_lm
+
+        lm = random_lm(5, alphabet_size=6, k=1, max_len=4)
+        model_path = tmp_path / "m.json"
+        model_path.write_text(lm.to_json(), encoding="utf-8")
+        strings = [s for s, _ in sorted(lm.enumerate_support(), key=lambda sp: -sp[1])[:40]]
+        lang_path = tmp_path / "lang.txt"
+        lang_path.write_text("\n".join(strings) + "\n", encoding="utf-8")
+        args = [sys.executable, "-m", "zest.cli", "generate", "--model", str(model_path),
+                "--language-file", str(lang_path), "--method", "smc-awrs", "--n", "2000", "--seed", "12"]
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(Path(zest.__file__).parents[1]))
+            proc = subprocess.run(args, env=env, capture_output=True, check=True, timeout=120)
+            assert len(json.loads(proc.stdout)["posterior_estimate"]) > 1
+            outputs.append([ln for ln in proc.stdout.splitlines() if b'"wall_time"' not in ln])
+        assert outputs[0] == outputs[1]
 
     def test_output_file(self, runner, tmp_path):
         out_path = tmp_path / "res.json"

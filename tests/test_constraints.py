@@ -9,9 +9,7 @@ from zest.constraints import (
     DfaPattern,
     TrieLanguage,
     blackbox_constraint,
-    dfa_constraint,
     mask_constraint,
-    trie_constraint,
 )
 
 
@@ -26,24 +24,24 @@ def accepted_set(c, vocab):
 
 class TestTrieConstraint:
     def test_mid_prefix(self, ab_lang):
-        c = trie_constraint(ab_lang, "a")
+        c = ab_lang.constraint_at("a")
         assert accepted_set(c, 3) == {0}  # only 'a' continues toward "aa"
 
     def test_root(self, ab_lang):
-        c = trie_constraint(ab_lang, "")
+        c = ab_lang.constraint_at("")
         assert accepted_set(c, 3) == {0, 1}
 
     def test_complete_string_accepts_only_eos(self, ab_lang):
-        c = trie_constraint(ab_lang, "aa")
+        c = ab_lang.constraint_at("aa")
         assert accepted_set(c, 3) == {2}
 
     def test_dead_prefix_is_all_false(self, ab_lang):
-        c = trie_constraint(ab_lang, "ab")
+        c = ab_lang.constraint_at("ab")
         assert accepted_set(c, 3) == set()
 
     def test_string_that_is_also_a_prefix(self):
         lang = TrieLanguage(["a", "ab"], alphabet=("a", "b"))
-        c = trie_constraint(lang, "a")
+        c = lang.constraint_at("a")
         assert accepted_set(c, 3) == {1, 2}  # continue with 'b' or stop
 
     def test_membership_and_size(self, ab_lang):
@@ -69,15 +67,15 @@ class TestDfaConstraint:
         )
 
     def test_mid_pattern(self, a_star_b):
-        c = dfa_constraint(a_star_b, "aa")
+        c = a_star_b.constraint_at("aa")
         assert accepted_set(c, 3) == {0, 1}
 
     def test_after_match_only_eos(self, a_star_b):
-        assert accepted_set(dfa_constraint(a_star_b, "ab"), 3) == {2}
-        assert accepted_set(dfa_constraint(a_star_b, "b"), 3) == {2}
+        assert accepted_set(a_star_b.constraint_at("ab"), 3) == {2}
+        assert accepted_set(a_star_b.constraint_at("b"), 3) == {2}
 
     def test_dead_prefix(self, a_star_b):
-        assert accepted_set(dfa_constraint(a_star_b, "ba"), 3) == set()
+        assert accepted_set(a_star_b.constraint_at("ba"), 3) == set()
 
     def test_accepts(self, a_star_b):
         assert a_star_b.accepts("aaab") and not a_star_b.accepts("aba")

@@ -9,7 +9,7 @@ call count and output marginals within four standard errors.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enumeration as en
@@ -430,6 +430,43 @@ class TestProperWeightingProperty:
         # Thresholds strictly between subset sums cannot tie.
         traces = en.enumerate_cawrs(probs, valid, 0.2718281828, 0.7182818284)
         proper_weighting_exact(traces, probs, valid)
+
+
+# Raw masses that stress float arithmetic: zero, denormals, masses far
+# below the rounding error of 1, and masses that make the total round to 1.
+EDGE_MASSES = (0.0, 5e-324, 1e-310, 1e-300, 1e-19, 1e-12, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def adversarial_instance(draw):
+    v = draw(st.integers(min_value=1, max_value=6))
+    raw = draw(st.lists(st.sampled_from(EDGE_MASSES), min_size=v, max_size=v).filter(lambda w: sum(w) > 0))
+    probs = np.array(raw) / sum(raw)
+    valid = np.array(draw(st.lists(st.booleans(), min_size=v, max_size=v)))
+    # At least one valid token with positive mass (z > 0), possibly the only
+    # valid one and possibly denormal.
+    valid[draw(st.sampled_from(np.flatnonzero(probs > 0).tolist()))] = True
+    return probs, valid
+
+
+class TestBudgetedEdgeCases:
+    """Budgeted samplers stay sound on priors that break naive arithmetic."""
+
+    @given(
+        adversarial_instance(),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @example((np.array([1e-19, 0.5, 0.5]), np.array([True, False, False])), 1, 8, 0)
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.parametrize("batch", [cwrs_batch, gawrs_batch], ids=["cwrs", "gawrs"])
+    def test_finite_weights_capped_calls_valid_tokens(self, batch, inst, L, R, seed):
+        probs, valid = inst
+        out = batch(Categorical(probs), c_of(valid), 64, make_rng(seed), L, R)
+        assert np.all(np.isfinite(out.zhats)) and np.all(out.zhats >= 0.0)
+        assert np.all(out.trials <= R + L + 1)
+        assert np.all(valid[out.tokens[out.zhats > 0]])
 
 
 class TestNucleusTruncation:

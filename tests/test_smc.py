@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from zest.constraints import TrieLanguage
+from zest.dist import sample_many
 from zest.errors import AllDead, DeadPrefix
-from zest.oracle import global_posterior, lcd_distribution
+from zest.oracle import global_posterior, lcd_distribution, token_mask
 from zest.rng import make_rng
+from zest.samplers import awrs_batch
 from zest.smc import (
-    Particle,
     ess,
     importance_sample,
     lcd_generate,
@@ -52,32 +53,49 @@ class TestEss:
             ess([0.0, 0.0])
 
 
-def make_particles(weights):
-    return [Particle(prefix=f"p{i}", weight=w, active=False) for i, w in enumerate(weights)]
+@pytest.fixture
+def support(lm):
+    return TrieLanguage(["aa", "ab", "ba", "bb"], alphabet=lm.alphabet)
+
+
+def scripted(first_weights):
+    """A batch Proposal drawing tokens from the model: its first call weights
+    the rows by ``first_weights`` and every later call by 1, so the run's
+    total weight is sum(first_weights) whatever resampling does."""
+    calls = []
+
+    def proposal(prior, c, n, rng):
+        w = np.asarray(first_weights, dtype=float) if not calls else np.ones(n)
+        calls.append(n)
+        return sample_many(prior, n, rng), w
+
+    return proposal
 
 
 class TestResampling:
-    def test_multinomial_single_survivor(self):
-        parts = resample_multinomial(make_particles([0.0, 5.0, 0.0]), make_rng(60))
-        assert all(p.prefix == "p1" for p in parts)
-        np.testing.assert_allclose([p.weight for p in parts], 5.0 / 3.0)
+    def test_multinomial_single_survivor(self, lm, support):
+        assert np.all(resample_multinomial(np.array([0.0, 5.0, 0.0]), make_rng(60)) == 1)
+        # In the engine every particle then carries weight W / N.
+        ens = smc_pwp(lm, support, scripted([0.0, 5.0, 0.0]), n_particles=3, tau=0.5, seed=60)
+        np.testing.assert_allclose([p.weight for p in ens.particles], 5.0 / 3.0)
 
     def test_multinomial_expected_copy_counts(self):
-        weights = [4.0, 2.0, 1.0, 1.0]
+        weights = np.array([4.0, 2.0, 1.0, 1.0])
         counts = np.zeros(4)
         trials = 3000
         for s in range(trials):
-            parts = resample_multinomial(make_particles(weights), make_rng(61, s))
-            for p in parts:
-                counts[int(p.prefix[1])] += 1
-        expected = np.array(weights) / sum(weights) * 4
+            counts += np.bincount(resample_multinomial(weights, make_rng(61, s)), minlength=4)
+        expected = weights / weights.sum() * 4
         np.testing.assert_allclose(counts / trials, expected, atol=0.05)
 
-    def test_multinomial_preserves_total_weight(self):
-        parts = resample_multinomial(make_particles([3.0, 1.0]), make_rng(62))
-        assert sum(p.weight for p in parts) == pytest.approx(4.0)
+    def test_multinomial_preserves_total_weight(self, lm, support):
+        idx = resample_multinomial(np.array([3.0, 1.0]), make_rng(62))
+        assert idx.shape == (2,) and set(idx.tolist()) <= {0, 1}
+        # ESS 1.6 < tau * N = 2, so the engine resamples after the first step.
+        ens = smc_pwp(lm, support, scripted([3.0, 1.0]), n_particles=2, tau=1.0, seed=62)
+        assert sum(p.weight for p in ens.particles) == pytest.approx(4.0)
 
-    def test_stratified_counts_concentrate(self):
+    def test_stratified_counts_concentrate(self, lm, support):
         # One independent uniform per stratum bounds every copy count
         # strictly within 2 of its expectation (sharp; the multinomial
         # scheme has no such bound), and the counts stay unbiased.
@@ -85,21 +103,20 @@ class TestResampling:
         devs = []
         for trial in range(400):
             weights = rng.random(4) + 1e-3
-            parts = resample_stratified(make_particles(weights.tolist()), make_rng(64, trial))
-            counts = np.zeros(4)
-            for p in parts:
-                counts[int(p.prefix[1])] += 1
+            counts = np.bincount(resample_stratified(weights, make_rng(64, trial)), minlength=4)
             expected = weights / weights.sum() * 4
             assert np.all(np.abs(counts - expected) < 2.0)
-            assert sum(p.weight for p in parts) == pytest.approx(weights.sum())
+            ens = smc_pwp(lm, support, scripted(weights), n_particles=4, tau=1.0, seed=trial,
+                          resample="stratified")
+            assert sum(p.weight for p in ens.particles) == pytest.approx(weights.sum())
             devs.append(counts - expected)
         assert np.abs(np.mean(devs, axis=0)).max() < 0.1
 
     def test_all_dead(self):
         with pytest.raises(AllDead):
-            resample_multinomial(make_particles([0.0, 0.0]), make_rng(65))
+            resample_multinomial(np.array([0.0, 0.0]), make_rng(65))
         with pytest.raises(AllDead):
-            resample_stratified(make_particles([0.0, 0.0]), make_rng(66))
+            resample_stratified(np.array([0.0, 0.0]), make_rng(66))
 
 
 class TestTwistEngine:
@@ -152,13 +169,27 @@ class TestTwistEngine:
 
 class TestProperlyWeightedEngine:
     def test_reversal_fixture_posterior(self, lm, lang):
-        ens = smc_pwp(lm, lang, proposal="awrs", n_particles=3000, tau=0.5, seed=4)
+        # P(aa) has SD 0.003 across seeds at N = 3e4, so +-0.02 is 6.8 SD.
+        ens = smc_pwp(lm, lang, proposal="awrs", n_particles=3 * 10**4, tau=0.5, seed=4)
         assert ens.posterior_estimate["aa"] == pytest.approx(0.083333, abs=0.02)
         assert ens.posterior_estimate["ba"] == pytest.approx(0.916667, abs=0.02)
 
     def test_exact_proposal_matches(self, lm, lang):
         ens = smc_pwp(lm, lang, proposal="exact", n_particles=3000, tau=0.5, seed=5)
         assert ens.posterior_estimate["aa"] == pytest.approx(0.083333, abs=0.02)
+
+    def test_reversal_fixture_unbiased_over_1000_seeds(self, lm, lang):
+        # Fixed-seed tolerance tests are sound only if the estimates are
+        # centred: mean P(aa) and mean g_hat over 1000 runs at N = 3000 sit
+        # within 3 standard errors of the exact values.
+        p_aa, g_hat = [], []
+        for s in range(1000):
+            ens = smc_pwp(lm, lang, "awrs", 3000, tau=0.5, seed=s)
+            p_aa.append(ens.posterior_estimate.get("aa", 0.0))
+            g_hat.append(ens.g_hat)
+        for estimates, exact in ((np.array(p_aa), 0.009 / 0.108), (np.array(g_hat), 0.108)):
+            se = estimates.std(ddof=1) / np.sqrt(len(estimates))
+            assert abs(estimates.mean() - exact) <= 3 * se
 
     def test_g_hat_unbiased_over_200_runs(self, lm, lang):
         # Mean of g_hat across 200 independent runs within 3 sigma of 0.108.
@@ -195,6 +226,50 @@ class TestProperlyWeightedEngine:
     def test_unknown_proposal(self):
         with pytest.raises(KeyError):
             weighted_proposal("nope")
+
+
+class TestGroupedEngine:
+    def test_user_batch_proposal(self, lm, lang):
+        def mine(prior, c, n, rng):
+            out = awrs_batch(prior, c, n, rng)
+            return out.tokens, out.zhats
+
+        a = smc_pwp(lm, lang, mine, 500, tau=0.5, seed=3)
+        b = smc_pwp(lm, lang, "awrs", 500, tau=0.5, seed=3)
+        assert a.posterior_estimate == b.posterior_estimate
+        assert a.g_hat == b.g_hat
+
+    def test_exact_proposal_weights_every_row_by_z(self, lm, lang):
+        prior = lm.next_dist("")
+        z = token_mask(prior, lang.constraint_at("")).z
+        before = lang.counter.count
+        tokens, w = weighted_proposal("exact")(prior, lang.constraint_at(""), 50, make_rng(70))
+        np.testing.assert_array_equal(w, np.full(50, z))
+        assert np.all(lang.valid_next("")[tokens])
+        # One full-vocabulary mask serves the whole batch.
+        assert lang.counter.count - before == lm.vocab_size
+
+    def test_no_valid_token_kills_only_its_group(self, lm):
+        # The first call ignores the constraint, so some particles reach
+        # prefix "a", where {"ba"} leaves no valid token and awrs raises
+        # NoValidToken; the "b" group must carry on.
+        lang = TrieLanguage(["ba"], alphabet=lm.alphabet)
+        awrs = weighted_proposal("awrs")
+        calls = []
+
+        def reckless_first(prior, c, n, rng):
+            calls.append(n)
+            if len(calls) == 1:
+                return sample_many(prior, n, rng), np.ones(n)
+            return awrs(prior, c, n, rng)
+
+        ens = smc_pwp(lm, lang, reckless_first, 400, tau=0.0, seed=71)
+        prefixes = {p.prefix for p in ens.particles}
+        assert "a" in prefixes and "ba" in prefixes
+        assert all(p.weight == 0.0 for p in ens.particles if p.prefix == "a")
+        assert all(p.weight > 0.0 for p in ens.particles if p.prefix == "ba")
+        assert list(ens.posterior_estimate) == ["ba"]
+        assert ens.posterior_estimate["ba"] == pytest.approx(1.0)
 
 
 class TestImportanceSampling:
