@@ -2,8 +2,7 @@
 
 The library provides, at desk scale and with exact reference oracles:
 
-- dense categorical distributions and without-replacement key orderings
-  (:mod:`zest.dist`);
+- dense categorical distributions (:mod:`zest.dist`);
 - local token constraints with evaluation counting (:mod:`zest.constraints`);
 - the family of exact and budgeted weighted rejection samplers
   (:mod:`zest.samplers`);
@@ -16,22 +15,20 @@ The library provides, at desk scale and with exact reference oracles:
 
 from . import analytics, constraints, dist, errors, oracle, rng, samplers, smc, toylm
 from .constraints import DfaPattern, TokenConstraint, TrieLanguage
-from .dist import Categorical, KeyedOrdering, normalize, remove_renormalize, sample, swor_keys
+from .dist import Categorical, normalize, remove_renormalize, sample
 from .oracle import LocalPosterior, global_posterior, lcd_distribution, token_mask
 from .rng import make_rng
 from .samplers import (
     SamplerConfig,
-    WeightedToken,
-    ars,
-    awrs,
-    awrs_sorted,
-    cawrs,
-    cwrs,
-    gawrs,
-    rawrs,
-    rs,
+    ars_batch,
+    awrs_batch,
+    cawrs_batch,
+    cwrs_batch,
+    gawrs_batch,
+    rawrs_batch,
+    rs_batch,
     top_p_compose,
-    wrs,
+    wrs_batch,
 )
 from .smc import Ensemble, Particle, ess, importance_sample, lcd_generate, sample_verify, smc_pwp, smc_twist
 from .toylm import ToyLM, example_a1, random_lm

@@ -121,10 +121,12 @@ def _apply_config(ctx, path, values: dict) -> dict:
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         _fail_config(f"unknown run-descriptor keys {sorted(unknown)}")
+    params = {p.name: p for p in ctx.command.params}
     for key, value in doc.items():
         dest = _CONFIG_KEYS[key]
         if ctx.get_parameter_source(dest) == click.core.ParameterSource.DEFAULT:
-            values[dest] = value
+            # The flag's own type converts and range-checks the file value.
+            values[dest] = params[dest].type_cast_value(ctx, value)
     return values
 
 
@@ -138,14 +140,15 @@ def _apply_config(ctx, path, values: dict) -> dict:
 @click.option("--method", type=click.Choice(METHODS), default=None)
 @click.option("--sampler", type=click.Choice(SAMPLERS), default="awrs", show_default=True,
               help="Weighted proposal used by smc-awrs.")
-@click.option("--n", default=100, show_default=True, help="Particles or rollouts.")
-@click.option("--tau", default=0.5, show_default=True, help="Resampling trigger fraction of N.")
-@click.option("--extra-loops", "-L", "extra_loops", default=1, show_default=True)
-@click.option("--theta0", default=None, type=float)
-@click.option("--theta1", default=None, type=float)
-@click.option("--budget", "-R", default=None, type=int)
-@click.option("--top-p", default=None, type=float)
-@click.option("--max-steps", default=smc.DEFAULT_MAX_STEPS, show_default=True)
+@click.option("--n", default=100, show_default=True, type=click.IntRange(min=1), help="Particles or rollouts.")
+@click.option("--tau", default=0.5, show_default=True, type=click.FloatRange(0.0, 1.0),
+              help="Resampling trigger fraction of N.")
+@click.option("--extra-loops", "-L", "extra_loops", default=1, show_default=True, type=click.IntRange(min=1))
+@click.option("--theta0", default=None, type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
+@click.option("--theta1", default=None, type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
+@click.option("--budget", "-R", default=None, type=click.IntRange(min=1))
+@click.option("--top-p", default=None, type=click.FloatRange(0.0, 1.0, min_open=True))
+@click.option("--max-steps", default=smc.DEFAULT_MAX_STEPS, show_default=True, type=click.IntRange(min=1))
 @click.option("--resample", type=click.Choice(["multinomial", "stratified"]), default="multinomial",
               show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -158,15 +161,13 @@ def generate(ctx, config, **values):
     model, language, language_file, pattern = (
         values["model"], values["language"], values["language_file"], values["pattern"],
     )
-    method, sampler, n, tau = values["method"], values["sampler"], int(values["n"]), values["tau"]
-    extra_loops, theta0, theta1 = int(values["extra_loops"]), values["theta0"], values["theta1"]
+    method, sampler, n, tau = values["method"], values["sampler"], values["n"], values["tau"]
+    extra_loops, theta0, theta1 = values["extra_loops"], values["theta0"], values["theta1"]
     budget, top_p = values["budget"], values["top_p"]
-    max_steps, resample = int(values["max_steps"]), values["resample"]
-    seed, out = int(values["seed"]), values["out"]
+    max_steps, resample = values["max_steps"], values["resample"]
+    seed, out = values["seed"], values["out"]
     if method is None:
         _fail_config("--method is required (flag or run-descriptor)")
-    if method not in METHODS:
-        _fail_config(f"unknown method {method!r}; choices: {METHODS}")
     lm = _load_model(model)
     family = _load_language(lm, language, language_file, pattern)
     if method != "lm" and family is None:
@@ -176,13 +177,15 @@ def generate(ctx, config, **values):
             _fail_config("--theta0/--theta1 apply only to smc-awrs with --sampler cawrs")
     if budget is not None and not (method == "smc-awrs" and sampler in ("cwrs", "gawrs", "rawrs")):
         _fail_config("--budget applies only to smc-awrs with a budgeted sampler")
-    config = SamplerConfig(
-        extra_loops=extra_loops,
-        theta0=theta0 if theta0 is not None else 0.25,
-        theta1=theta1 if theta1 is not None else 0.75,
-        budget=budget if budget is not None else 8,
-        top_p=top_p,
-    )
+    try:
+        config = SamplerConfig(
+            extra_loops=extra_loops,
+            theta0=theta0 if theta0 is not None else 0.25,
+            theta1=theta1 if theta1 is not None else 0.75,
+            budget=budget if budget is not None else 8,
+        )
+    except ValueError as e:
+        _fail_config(str(e))
     if top_p is not None:
         lm = _TruncatedLM(lm, top_p)
 

@@ -16,11 +16,9 @@ from .errors import AllZeroMass
 
 __all__ = [
     "Categorical",
-    "KeyedOrdering",
     "normalize",
     "sample",
     "sample_many",
-    "swor_keys",
     "remove_renormalize",
 ]
 
@@ -58,20 +56,6 @@ class Categorical:
         return np.flatnonzero(self.probs > 0)
 
 
-@dataclass
-class KeyedOrdering:
-    """A without-replacement traversal order with its sort keys.
-
-    ``order`` is a permutation of token ids; ``keys`` holds one sort key
-    per token (indexed by token id, not by position). Keys are
-    non-decreasing along ``order``. Zero-probability tokens carry an
-    infinite key and sort last, so they are never reached.
-    """
-
-    order: np.ndarray
-    keys: np.ndarray
-
-
 def normalize(weights) -> Categorical:
     """Scale non-negative weights into a Categorical.
 
@@ -101,22 +85,6 @@ def sample(dist: Categorical, rng: np.random.Generator) -> int:
 def sample_many(dist: Categorical, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` iid token ids distributed as ``dist.probs``."""
     return _inverse_cdf(dist.cumulative(), rng.random(n))
-
-
-def swor_keys(dist: Categorical, rng: np.random.Generator) -> KeyedOrdering:
-    """Keys for sampling without replacement via an exponential race.
-
-    Each token gets an independent ``Exponential(rate=p)`` key; ascending
-    key order is distributionally identical to sequentially sampling
-    tokens without replacement from ``dist``.
-    """
-    p = dist.probs
-    keys = np.full(p.shape[0], np.inf)
-    pos = p > 0
-    # Exp(rate=p) == standard exponential divided by p.
-    keys[pos] = rng.standard_exponential(int(pos.sum())) / p[pos]
-    order = np.argsort(keys, kind="stable")
-    return KeyedOrdering(order=order, keys=keys)
 
 
 def remove_renormalize(dist: Categorical, removed) -> Categorical:

@@ -8,9 +8,11 @@ property that lets them stand in for exact renormalization inside
 sequential Monte Carlo.
 
 All samplers are Las Vegas algorithms: output distributions are exact
-(for the unclipped variants), runtimes are random. Implementations are
-vectorized across independent runs; the scalar entry points are
-batch-of-one calls, so there is a single code path per algorithm.
+(for the unclipped variants), runtimes are random. Each sampler is one
+``*_batch`` kernel vectorized across independent runs; a single draw is
+a batch of one. When no token is valid (z = 0) the exact adaptive
+samplers raise NoValidToken, while the clipped and budgeted ones return
+dead rows (``zhat = 0``) within their call caps.
 
 Rejected-mass accumulators use compensated (Kahan) summation so that long
 without-replacement runs do not drift.
@@ -23,51 +25,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import TokenConstraint
-from .dist import Categorical, KeyedOrdering, swor_keys
+from .dist import Categorical
 from .errors import NoValidToken
 
 __all__ = [
-    "WeightedToken",
     "SamplerConfig",
     "BatchTokens",
     "BatchWeighted",
-    "rs",
-    "ars",
-    "wrs",
-    "awrs",
-    "awrs_sorted",
-    "cawrs",
-    "cwrs",
-    "gawrs",
-    "rawrs",
     "rs_batch",
     "ars_batch",
     "wrs_batch",
     "awrs_batch",
-    "awrs_sorted_batch",
     "cawrs_batch",
     "cwrs_batch",
     "gawrs_batch",
     "rawrs_batch",
     "top_p_compose",
 ]
-
-
-@dataclass
-class WeightedToken:
-    """An accepted token with an unbiased estimate of the valid prior mass.
-
-    ``zhat`` is zero only for the clipped or budgeted variants, where it
-    marks a dead sample; exact variants always return positive weight.
-    ``trials`` counts constraint evaluations. ``rejected_mass_first_loop``
-    is the prior mass removed during the first without-replacement loop
-    (zero for the with-replacement samplers, which remove nothing).
-    """
-
-    token: int
-    zhat: float
-    trials: int
-    rejected_mass_first_loop: float
 
 
 @dataclass
@@ -79,14 +53,12 @@ class SamplerConfig:
     theta0/theta1: rejected-mass thresholds for the clipped adaptive
         sampler, 0 < theta0 < theta1 < 1.
     budget: cap on failed constraint calls for the bounded variants.
-    top_p: optional nucleus truncation applied to the prior.
     """
 
     extra_loops: int = 1
     theta0: float = 0.25
     theta1: float = 0.75
     budget: int = 8
-    top_p: float | None = None
 
     def __post_init__(self):
         if self.extra_loops < 1:
@@ -95,8 +67,6 @@ class SamplerConfig:
             raise ValueError("budget must be >= 1")
         if not (0.0 < self.theta0 < self.theta1 < 1.0):
             raise ValueError("need 0 < theta0 < theta1 < 1")
-        if self.top_p is not None and not (0.0 < self.top_p <= 1.0):
-            raise ValueError("top_p must lie in (0, 1]")
 
 
 @dataclass
@@ -109,20 +79,21 @@ class BatchTokens:
 
 @dataclass
 class BatchWeighted:
-    """Weighted batch draw, one (token, zhat) pair per run."""
+    """Weighted batch draw, one (token, zhat) pair per run.
+
+    ``zhats`` are zero for the dead samples of the clipped or budgeted
+    variants; exact variants return zero only when ``1 - psi0`` rounds
+    to zero, i.e. z is below float resolution.
+    ``trials`` counts constraint evaluations per run.
+    ``rejected_mass_first_loop`` is the prior mass removed during the
+    first without-replacement loop (zero for the with-replacement
+    samplers, which remove nothing).
+    """
 
     tokens: np.ndarray
     zhats: np.ndarray
     trials: np.ndarray
     rejected_mass_first_loop: np.ndarray
-
-    def __getitem__(self, i: int) -> WeightedToken:
-        return WeightedToken(
-            token=int(self.tokens[i]),
-            zhat=float(self.zhats[i]),
-            trials=int(self.trials[i]),
-            rejected_mass_first_loop=float(self.rejected_mass_first_loop[i]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +160,16 @@ class _Removed:
         tot = c[:, -1]
         if np.any(tot <= 0.0):
             raise NoValidToken("every positive-mass token was rejected (z = 0?)")
-        u = rng.random(rows.shape[0]) * tot
+        # A denormal pool can round u up to tot, where the clamp below
+        # would return the last token even if it was removed.
+        u = np.minimum(rng.random(rows.shape[0]) * tot, np.nextafter(tot, 0.0))
         idx = np.sum(c <= u[:, None], axis=1)
         return np.minimum(idx, self.probs.shape[0] - 1)
 
 
-def _chunks(n: int, vocab: int, cap_cells: int = 1 << 25) -> list[int]:
-    per = max(1, min(n, cap_cells // max(vocab, 1)))
+def _chunks(n: int, vocab: int) -> list[int]:
+    # Bounds each chunk's n x V removed-token mask at 2**25 cells.
+    per = max(1, min(n, (1 << 25) // max(vocab, 1)))
     sizes = [per] * (n // per)
     if n % per:
         sizes.append(n % per)
@@ -241,11 +215,6 @@ def rs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gene
     return BatchTokens(tokens=tokens, trials=trials)
 
 
-def rs(prior: Categorical, c: TokenConstraint, rng: np.random.Generator) -> int:
-    """Simple rejection sampling; returns an exact posterior sample."""
-    return int(rs_batch(prior, c, 1, rng).tokens[0])
-
-
 # ---------------------------------------------------------------------------
 # Adaptive rejection sampling (without replacement, unweighted)
 
@@ -272,11 +241,6 @@ def ars_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gen
     evaluations per run.
     """
     return _cat_tokens([_ars_chunk(prior, c, m, rng) for m in _chunks(n, prior.vocab_size)])
-
-
-def ars(prior: Categorical, c: TokenConstraint, rng: np.random.Generator) -> int:
-    """Adaptive rejection sampling for a single draw."""
-    return int(ars_batch(prior, c, 1, rng).tokens[0])
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +288,6 @@ def wrs_batch(
         trials=trials,
         rejected_mass_first_loop=np.zeros(n),
     )
-
-
-def wrs(
-    prior: Categorical,
-    c: TokenConstraint,
-    rng: np.random.Generator,
-    extra_loops: int = 1,
-) -> WeightedToken:
-    """Weighted rejection sampling for a single draw."""
-    return wrs_batch(prior, c, 1, rng, extra_loops)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,113 +338,6 @@ def awrs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Ge
     return _cat_weighted([_awrs_chunk(prior, c, m, rng) for m in _chunks(n, prior.vocab_size)])
 
 
-def awrs(prior: Categorical, c: TokenConstraint, rng: np.random.Generator) -> WeightedToken:
-    """Adaptive weighted rejection sampling for a single draw."""
-    return awrs_batch(prior, c, 1, rng)[0]
-
-
-# ---------------------------------------------------------------------------
-# Key-sorted adaptive weighted rejection sampling
-
-
-def _exp_keys(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    keys = np.full((n, probs.shape[0]), np.inf)
-    pos = probs > 0
-    keys[:, pos] = rng.standard_exponential((n, int(pos.sum()))) / probs[pos]
-    return keys
-
-
-def _awrs_sorted_chunk(prior, c, n, rng, order0=None) -> BatchWeighted:
-    probs = prior.probs
-    if order0 is None:
-        order0 = np.argsort(_exp_keys(probs, n, rng), axis=1, kind="stable")
-    tokens = np.full(n, -1, dtype=np.int64)
-    trials = np.zeros(n, dtype=np.int64)
-    nrej = np.zeros(n, dtype=np.int64)
-    psi0 = np.zeros(n)
-    psi0_comp = np.zeros(n)
-    rejected = np.zeros((n, probs.shape[0]), dtype=bool)
-    pos = np.zeros(n, dtype=np.int64)
-
-    # Loop one walks each run's key order until the first acceptance. A
-    # caller may evaluate a lookahead window of this order concurrently;
-    # only evaluations at or before the accepted index are counted, which
-    # is what the sequential walk below does by construction.
-    alive = np.arange(n)
-    while alive.size:
-        if np.any(pos[alive] >= probs.shape[0]):
-            raise NoValidToken("key scan exhausted the vocabulary (z = 0?)")
-        cand = order0[alive, pos[alive]]
-        ok = c.evaluate_many(cand)
-        trials[alive] += 1
-        rej = alive[~ok]
-        rejected[rej, cand[~ok]] = True
-        y = probs[cand[~ok]] - psi0_comp[rej]
-        t = psi0[rej] + y
-        psi0_comp[rej] = (t - psi0[rej]) - y
-        psi0[rej] = t
-        nrej[rej] += 1
-        pos[rej] += 1
-        tokens[alive[ok]] = cand[ok]
-        alive = rej
-
-    # Loop two reruns the race with fresh keys over the remaining pool
-    # (the accepted token is replaced, rejected tokens are out for good).
-    keys1 = _exp_keys(probs, n, rng)
-    keys1[rejected] = np.inf
-    order1 = np.argsort(keys1, axis=1, kind="stable")
-    pos = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
-    while alive.size:
-        if np.any(pos[alive] >= probs.shape[0]):
-            raise NoValidToken("key scan exhausted the vocabulary (z = 0?)")
-        cand = order1[alive, pos[alive]]
-        ok = c.evaluate_many(cand)
-        trials[alive] += 1
-        rej = alive[~ok]
-        nrej[rej] += 1
-        pos[rej] += 1
-        alive = rej
-
-    zhats = (1.0 - psi0) / (nrej + 1.0)
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials, rejected_mass_first_loop=psi0)
-
-
-def awrs_sorted_batch(
-    prior: Categorical,
-    c: TokenConstraint,
-    n: int,
-    rng: np.random.Generator,
-) -> BatchWeighted:
-    """Adaptive weighted rejection sampling driven by exponential-race keys.
-
-    Distributionally identical to ``awrs_batch``: walking tokens in
-    ascending Exp(prior) key order is sampling without replacement, so the
-    first accepted token and the rejection counts have the same law.
-    """
-    parts = [
-        _awrs_sorted_chunk(prior, c, m, rng)
-        for m in _chunks(n, prior.vocab_size, cap_cells=1 << 22)
-    ]
-    return _cat_weighted(parts)
-
-
-def awrs_sorted(
-    prior: Categorical,
-    c: TokenConstraint,
-    rng: np.random.Generator,
-    ordering: KeyedOrdering | None = None,
-) -> WeightedToken:
-    """Key-sorted adaptive weighted rejection sampling for a single draw.
-
-    ``ordering`` must come from ``swor_keys(prior)``; when omitted a fresh
-    ordering is drawn. The full trace is deterministic given the rng.
-    """
-    if ordering is None:
-        ordering = swor_keys(prior, rng)
-    return _awrs_sorted_chunk(prior, c, 1, rng, order0=ordering.order[None, :])[0]
-
-
 # ---------------------------------------------------------------------------
 # Clipped adaptive weighted rejection sampling (mass-threshold early stop)
 
@@ -510,6 +357,7 @@ def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
     psi0 = np.zeros(n)
     zhats = np.zeros(n)
     phase = np.full(n, _PHASE_LOOP0, dtype=np.int8)
+    npos = int(np.count_nonzero(prior.probs > 0))
 
     def finish(rows, boosted):
         base = (1.0 - psi0[rows]) / (nrej[rows] + 1.0)
@@ -537,6 +385,11 @@ def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
         over0 = rej0[rem.mass[rej0] > theta0]
         psi0[over0] = rem.mass[over0]
         phase[over0] = _PHASE_PROBE
+        # Rejecting every positive-mass token leaves no pool to probe
+        # (z = 0): the row ends dead on its last rejection.
+        drained = nrej[rej0] == npos
+        tokens[rej0[drained]] = cand[l0 & ~ok][drained]
+        phase[rej0[drained]] = _PHASE_DONE
 
         # Overflow probe: one draw from the remaining pool decides between
         # a dead sample and a boosted-weight continuation.
@@ -589,17 +442,6 @@ def cawrs_batch(
         raise ValueError("need 0 < theta0 < theta1 < 1")
     parts = [_cawrs_chunk(prior, c, m, rng, theta0, theta1) for m in _chunks(n, prior.vocab_size)]
     return _cat_weighted(parts)
-
-
-def cawrs(
-    prior: Categorical,
-    c: TokenConstraint,
-    rng: np.random.Generator,
-    theta0: float,
-    theta1: float,
-) -> WeightedToken:
-    """Clipped adaptive weighted rejection sampling for a single draw."""
-    return cawrs_batch(prior, c, 1, rng, theta0, theta1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -662,17 +504,6 @@ def cwrs_batch(
     zhats = _cwrs_estimate(s, r, L, R)
     tokens = np.where(s > 0, first_tok, x1)
     return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials, rejected_mass_first_loop=np.zeros(n))
-
-
-def cwrs(
-    prior: Categorical,
-    c: TokenConstraint,
-    rng: np.random.Generator,
-    extra_loops: int = 1,
-    budget: int = 8,
-) -> WeightedToken:
-    """Budgeted weighted rejection sampling for a single draw."""
-    return cwrs_batch(prior, c, 1, rng, extra_loops, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -750,17 +581,6 @@ def gawrs_batch(
     return _cat_weighted(parts)
 
 
-def gawrs(
-    prior: Categorical,
-    c: TokenConstraint,
-    rng: np.random.Generator,
-    extra_loops: int = 1,
-    budget: int = 8,
-) -> WeightedToken:
-    """Geometric adaptive weighted rejection sampling for a single draw."""
-    return gawrs_batch(prior, c, 1, rng, extra_loops, budget)[0]
-
-
 # ---------------------------------------------------------------------------
 # Recursive adaptive weighted rejection sampling
 
@@ -778,6 +598,7 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
     nsteps = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=np.int64)
     phase = np.full(n, 0, dtype=np.int8)  # 0 scan, 1 probe, 2 done
+    npos = int(np.count_nonzero(probs > 0))
 
     while True:
         scanning = np.flatnonzero(phase == 0)
@@ -786,8 +607,9 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
         denom = 1.0 - rem.mass[scanning]
         cand = rem.draw(scanning, rng)
         # Clamp guards against q > 1 from float drift once nearly all
-        # mass has been removed.
-        q_i = np.minimum(probs[cand] / denom, 1.0)
+        # mass has been removed; denom may round to 0, which gives q = 1.
+        with np.errstate(divide="ignore"):
+            q_i = np.minimum(probs[cand] / denom, 1.0)
         ok = c.evaluate_many(cand)
         trials[scanning] += 1
         nsteps[scanning] += 1
@@ -800,13 +622,15 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
 
         rej = scanning[~ok]
         failed[rej] += 1
-        rej_last = scanning[~ok & last]
-        tokens[rej_last] = cand[~ok & last]
-        zhats[rej_last] = 0.0
-        phase[rej_last] = 2
+        # A row that has rejected every positive-mass token has nothing
+        # left to draw (z = 0); it ends dead, as at the budget.
+        dead = ~ok & (last | (failed[scanning] == npos))
+        tokens[scanning[dead]] = cand[dead]
+        zhats[scanning[dead]] = 0.0
+        phase[scanning[dead]] = 2
 
-        more = scanning[~ok & ~last]
-        eta[more] *= 1.0 - q_i[~ok & ~last]
+        more = ~ok & ~dead
+        eta[scanning[more]] *= 1.0 - q_i[more]
         rem.add(rej, cand[~ok])
         psi_scan[rej] = rem.mass[rej]
 
@@ -859,16 +683,6 @@ def rawrs_batch(
         raise ValueError("budget must be >= 1")
     parts = [_rawrs_chunk(prior, c, m, rng, R) for m in _chunks(n, prior.vocab_size)]
     return _cat_weighted(parts)
-
-
-def rawrs(
-    prior: Categorical,
-    c: TokenConstraint,
-    rng: np.random.Generator,
-    budget: int = 8,
-) -> WeightedToken:
-    """Recursive adaptive weighted rejection sampling for a single draw."""
-    return rawrs_batch(prior, c, 1, rng, budget)[0]
 
 
 # ---------------------------------------------------------------------------

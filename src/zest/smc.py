@@ -33,6 +33,7 @@ from .oracle import token_mask
 from .rng import make_rng
 from .samplers import (
     SamplerConfig,
+    ars_batch,
     awrs_batch,
     cawrs_batch,
     cwrs_batch,
@@ -40,7 +41,6 @@ from .samplers import (
     rawrs_batch,
     wrs_batch,
 )
-from .samplers import ars as ars_sampler
 from .toylm import ToyLM
 
 __all__ = [
@@ -323,6 +323,8 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
     mean weight estimates g and the reweighted ensemble estimates the
     global posterior.
     """
+    if n < 1:
+        raise ValueError("need at least one rollout")
     eval_before = family.counter.count
     particles = []
     for i in range(n):
@@ -345,6 +347,8 @@ def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:
     ``verifier`` is a callable str -> bool (a TrieLanguage works via its
     membership test). Raises AllDead if every rollout fails.
     """
+    if n < 1:
+        raise ValueError("need at least one rollout")
     check = verifier if callable(verifier) else lambda s: s in verifier
     particles = []
     for i in range(n):
@@ -382,7 +386,7 @@ def lcd_generate(
         c = family.constraint_at(prefix)
         try:
             if sampler == "ars":
-                token = ars_sampler(prior, c, rng)
+                token = int(ars_batch(prior, c, 1, rng).tokens[0])
             else:
                 token = sample(token_mask(prior, c).post, rng)
         except NoValidToken as e:

@@ -38,14 +38,13 @@ def tv_dicts(a, b):
 
 
 def test_criterion_1_exactness_vs_masking_oracle(capsys):
-    """ars/wrs/awrs/awrs_sorted all match the masked posterior in TV."""
+    """ars/wrs/awrs all match the masked posterior in TV."""
     n = 10**5
     budget_s = 120.0
     runners = {
         "ars": lambda p, c, r: S.ars_batch(p, c, n, r).tokens,
         "wrs": lambda p, c, r: S.wrs_batch(p, c, n, r).tokens,
         "awrs": lambda p, c, r: S.awrs_batch(p, c, n, r).tokens,
-        "awrs_sorted": lambda p, c, r: S.awrs_sorted_batch(p, c, n, r).tokens,
     }
     t0 = time.perf_counter()
     worst = {}
@@ -184,7 +183,6 @@ def test_criterion_6_proper_weighting_all_weighted_samplers(capsys):
     runners = {
         "wrs": lambda p, c, r: S.wrs_batch(p, c, n, r, extra_loops=L),
         "awrs": lambda p, c, r: S.awrs_batch(p, c, n, r),
-        "awrs_sorted": lambda p, c, r: S.awrs_sorted_batch(p, c, n, r),
         "cawrs": lambda p, c, r: S.cawrs_batch(p, c, n, r, theta0, theta1),
         "cwrs": lambda p, c, r: S.cwrs_batch(p, c, n, r, L, R),
         "gawrs": lambda p, c, r: S.gawrs_batch(p, c, n, r, L, R),
@@ -210,7 +208,7 @@ def test_criterion_6_proper_weighting_all_weighted_samplers(capsys):
                 failures += abs(mean - target[t]) > bound
     ok = failures == 0 and budget_ok
     detail = (
-        f"{checks} indicator checks (7 samplers x 10 instances x 20 tokens at 1e6 draws): "
+        f"{checks} indicator checks ({len(runners)} samplers x 10 instances x 20 tokens at 1e6 draws): "
         f"{failures} outside 4 sigma; budget cap R+L+1 held={budget_ok}"
     )
     verdict(capsys, 6, ok, detail)

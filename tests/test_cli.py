@@ -199,6 +199,32 @@ class TestExitCodes:
         )  # symbol outside alphabet
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"top_p": 0},
+            {"extra_loops": 0, "sampler": "wrs"},
+            {"budget": 0, "sampler": "cwrs"},
+            {"theta0": 0.5, "theta1": 0.5, "sampler": "cawrs"},
+            {"tau": 1.5},
+            {"n": 0},
+            {"n": 0, "method": "is"},
+            {"max_steps": 0},
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_invalid_numeric_option_is_two(self, runner, tmp_path, bad, via):
+        values = {"language": "{aa,ba}", "method": "smc-awrs", **bad}
+        if via == "flag":
+            args = [x for k, v in values.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(values), encoding="utf-8")
+            args = ["--config", str(cfg)]
+        result = runner.invoke(main, ["generate", *args])
+        assert result.exit_code == 2, result.output
+
     def test_inference_failure_is_three(self, runner):
         # A language the model cannot produce: every rollout fails.
         result = runner.invoke(

@@ -1,4 +1,4 @@
-"""Categorical distributions, exact draws and without-replacement keys."""
+"""Categorical distributions, exact draws and support removal."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from zest.dist import Categorical, normalize, remove_renormalize, sample, sample_many, swor_keys
+from zest.dist import Categorical, normalize, remove_renormalize, sample, sample_many
 from zest.errors import AllZeroMass
 from zest.rng import make_rng
 
@@ -65,49 +65,6 @@ class TestSample:
         counts = np.bincount(draws, minlength=6)
         _, p = stats.chisquare(counts, dist.probs * 10**5)
         assert p > 1e-6
-
-
-class TestSworKeys:
-    def test_singleton(self):
-        ordering = swor_keys(Categorical(np.array([1.0])), make_rng(0))
-        assert ordering.order.tolist() == [0]
-
-    def test_first_position_marginal(self):
-        # Exponential-race identity: P(order starts with token 0) = 0.9,
-        # checked within 4 binomial sigma at 1e5 trials (0.0038).
-        probs = np.array([0.9, 0.1])
-        rng = make_rng(5)
-        keys = rng.standard_exponential((10**5, 2)) / probs
-        first = keys.argmin(axis=1)
-        assert abs(float(np.mean(first == 0)) - 0.9) <= 0.004
-
-    def test_first_position_marginal_matches_probs_generic(self):
-        # For every token, P(token is first) equals its probability.
-        dist = normalize([4, 1, 3, 2, 0.5, 1.5])
-        n = 10**5
-        rng = make_rng(9)
-        keys = rng.standard_exponential((n, 6)) / dist.probs
-        first = keys.argmin(axis=1)
-        freqs = np.bincount(first, minlength=6) / n
-        bound = 4 * np.sqrt(dist.probs * (1 - dist.probs) / n)
-        assert np.all(np.abs(freqs - dist.probs) <= bound)
-
-    def test_zero_mass_token_excluded(self):
-        dist = Categorical(np.array([0.5, 0.5, 0.0]))
-        for s in range(20):
-            ordering = swor_keys(dist, make_rng(s))
-            assert ordering.order[-1] == 2
-            assert np.isinf(ordering.keys[2])
-
-    def test_keys_nondecreasing_along_order(self):
-        dist = normalize([1, 2, 3, 4, 0, 5])
-        ordering = swor_keys(dist, make_rng(1))
-        assert np.all(np.diff(ordering.keys[ordering.order]) >= 0)
-
-    def test_order_is_permutation(self):
-        dist = normalize(np.arange(1, 11))
-        ordering = swor_keys(dist, make_rng(2))
-        assert sorted(ordering.order.tolist()) == list(range(10))
 
 
 class TestRemoveRenormalize:

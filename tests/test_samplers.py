@@ -14,28 +14,19 @@ from hypothesis import strategies as st
 
 import enumeration as en
 from zest.constraints import blackbox_constraint, mask_constraint
-from zest.dist import Categorical, normalize, sample, swor_keys
+from zest.dist import Categorical, normalize, sample
+from zest.errors import NoValidToken
 from zest.rng import make_rng
 from zest.samplers import (
     SamplerConfig,
-    ars,
     ars_batch,
-    awrs,
     awrs_batch,
-    awrs_sorted,
-    awrs_sorted_batch,
-    cawrs,
     cawrs_batch,
-    cwrs,
     cwrs_batch,
-    gawrs,
     gawrs_batch,
-    rawrs,
     rawrs_batch,
-    rs,
     rs_batch,
     top_p_compose,
-    wrs,
     wrs_batch,
 )
 
@@ -53,7 +44,7 @@ class TestSimpleRejection:
     def test_vacuous_constraint_returns_first_draw(self):
         dist = normalize([1, 2, 3, 4])
         tok_direct = sample(dist, make_rng(5))
-        tok_rs = rs(dist, c_of([1, 1, 1, 1]), make_rng(5))
+        tok_rs = rs_batch(dist, c_of([1, 1, 1, 1]), 1, make_rng(5)).tokens[0]
         assert tok_rs == tok_direct
 
     def test_vacuous_constraint_single_trial(self):
@@ -87,7 +78,7 @@ class TestAdaptiveRejection:
 
     def test_vacuous_matches_direct_sample(self):
         dist = normalize([1, 2, 3])
-        assert ars(dist, c_of([1, 1, 1]), make_rng(6)) == sample(dist, make_rng(6))
+        assert ars_batch(dist, c_of([1, 1, 1]), 1, make_rng(6)).tokens[0] == sample(dist, make_rng(6))
 
     def test_output_matches_masked_posterior(self):
         rng = make_rng(8)
@@ -194,49 +185,10 @@ class TestAdaptiveWeighted:
         assert c.eval_count == int(out.trials.sum())
 
     def test_scalar_wrapper_fields(self):
-        wt = awrs(Categorical(P5), c_of(V5), make_rng(19))
-        assert wt.token in (1, 3)
-        assert 0 < wt.zhat <= 1
-        assert wt.trials >= 2
-
-
-class TestKeySortedAdaptiveWeighted:
-    def test_matches_plain_adaptive_distribution(self):
-        # Same instance, both samplers: joint behavior agrees with the
-        # shared enumeration oracle, and output TV distance stays small.
-        n = 10**5
-        a = awrs_batch(Categorical(P5), c_of(V5), n, make_rng(20))
-        b = awrs_sorted_batch(Categorical(P5), c_of(V5), n, make_rng(21))
-        emp_a = np.bincount(a.tokens, minlength=5) / n
-        emp_b = np.bincount(b.tokens, minlength=5) / n
-        assert 0.5 * np.abs(emp_a - emp_b).sum() < 0.01
-        assert abs(a.zhats.mean() - b.zhats.mean()) < 0.005
-        assert abs(a.trials.mean() - b.trials.mean()) < 0.05
-
-    def test_kernel_matches_oracle(self):
-        traces = en.enumerate_awrs(P5.tolist(), V5.tolist())
-        mc_against_oracle(lambda p, n, r: awrs_sorted_batch(p, c_of(V5), n, r), traces, P5)
-
-    def test_deterministic_trace(self):
-        a = awrs_sorted_batch(Categorical(P5), c_of(V5), 200, make_rng(22))
-        b = awrs_sorted_batch(Categorical(P5), c_of(V5), 200, make_rng(22))
-        np.testing.assert_array_equal(a.tokens, b.tokens)
-        np.testing.assert_array_equal(a.zhats, b.zhats)
-        np.testing.assert_array_equal(a.trials, b.trials)
-
-    def test_all_valid_unit_weight(self):
-        out = awrs_sorted_batch(normalize([1, 2, 3]), c_of([1, 1, 1]), 300, make_rng(23))
-        np.testing.assert_allclose(out.zhats, 1.0)
-        assert np.all(out.trials == 2)
-
-    def test_explicit_ordering_accepted(self):
-        prior = Categorical(P5)
-        ordering = swor_keys(prior, make_rng(24))
-        wt = awrs_sorted(prior, c_of(V5), make_rng(25), ordering=ordering)
-        # Loop one walks the given order: the token must be the first
-        # valid entry of that order.
-        first_valid = next(t for t in ordering.order if V5[t])
-        assert wt.token == first_valid
+        out = awrs_batch(Categorical(P5), c_of(V5), 1, make_rng(19))
+        assert out.tokens[0] in (1, 3)
+        assert 0 < out.zhats[0] <= 1
+        assert out.trials[0] >= 2
 
 
 class TestClippedAdaptive:
@@ -449,8 +401,20 @@ def adversarial_instance(draw):
     return probs, valid
 
 
+# Per kernel: a run of 64 draws given (prior, constraint, rng, L, R), and
+# its documented cap on constraint calls given (#invalid tokens, L, R).
+EDGE_KERNELS = {
+    "ars": (lambda p, c, r, L, R: ars_batch(p, c, 64, r), lambda inv, L, R: inv + 1),
+    "awrs": (lambda p, c, r, L, R: awrs_batch(p, c, 64, r), lambda inv, L, R: inv + 2),
+    "cawrs": (lambda p, c, r, L, R: cawrs_batch(p, c, 64, r, 0.25, 0.75), lambda inv, L, R: inv + 2),
+    "rawrs": (lambda p, c, r, L, R: rawrs_batch(p, c, 64, r, R), lambda inv, L, R: R + 1),
+    "cwrs": (lambda p, c, r, L, R: cwrs_batch(p, c, 64, r, L, R), lambda inv, L, R: R + L + 1),
+    "gawrs": (lambda p, c, r, L, R: gawrs_batch(p, c, 64, r, L, R), lambda inv, L, R: R + L + 1),
+}
+
+
 class TestBudgetedEdgeCases:
-    """Budgeted samplers stay sound on priors that break naive arithmetic."""
+    """Every bounded-cost sampler stays sound on priors that break naive arithmetic."""
 
     @given(
         adversarial_instance(),
@@ -459,14 +423,46 @@ class TestBudgetedEdgeCases:
         st.integers(min_value=0, max_value=2**16),
     )
     @example((np.array([1e-19, 0.5, 0.5]), np.array([True, False, False])), 1, 8, 0)
+    @example((np.array([2e-323, 1.0]), np.array([True, False])), 1, 8, 0)
     @settings(max_examples=150, deadline=None)
-    @pytest.mark.parametrize("batch", [cwrs_batch, gawrs_batch], ids=["cwrs", "gawrs"])
-    def test_finite_weights_capped_calls_valid_tokens(self, batch, inst, L, R, seed):
+    @pytest.mark.parametrize("name", list(EDGE_KERNELS))
+    def test_finite_weights_capped_calls_valid_tokens(self, name, inst, L, R, seed):
         probs, valid = inst
-        out = batch(Categorical(probs), c_of(valid), 64, make_rng(seed), L, R)
-        assert np.all(np.isfinite(out.zhats)) and np.all(out.zhats >= 0.0)
-        assert np.all(out.trials <= R + L + 1)
-        assert np.all(valid[out.tokens[out.zhats > 0]])
+        run, cap = EDGE_KERNELS[name]
+        out = run(Categorical(probs), c_of(valid), make_rng(seed), L, R)
+        assert np.all(out.trials <= cap(int(np.sum(~valid)), L, R))
+        if name == "ars":
+            assert np.all(valid[out.tokens])
+        else:
+            assert np.all(np.isfinite(out.zhats)) and np.all(out.zhats >= 0.0)
+            assert np.all(valid[out.tokens[out.zhats > 0]])
+
+
+Z0_PRIOR = np.array([0.5, 0.3, 0.2, 0.0])
+Z0_VALID = np.zeros(4, dtype=bool)
+
+
+class TestZeroValidMass:
+    """At z = 0 exact samplers raise; clipped and budgeted ones return dead rows."""
+
+    @pytest.mark.parametrize("budget", [1, 3, 8])
+    @pytest.mark.parametrize("name", ["rawrs", "cwrs", "gawrs"])
+    def test_budgeted_kernels_return_dead_rows(self, name, budget):
+        run, cap = EDGE_KERNELS[name]
+        out = run(Categorical(Z0_PRIOR), c_of(Z0_VALID), make_rng(50), 1, budget)
+        assert np.all(out.zhats == 0.0)
+        assert np.all(out.trials <= cap(4, 1, budget))
+
+    @pytest.mark.parametrize("theta0, theta1", [(0.25, 0.75), (0.6, 0.9), (0.97, 0.98)])
+    def test_clipped_kernel_returns_dead_rows(self, theta0, theta1):
+        out = cawrs_batch(Categorical(Z0_PRIOR), c_of(Z0_VALID), 64, make_rng(51), theta0, theta1)
+        assert np.all(out.zhats == 0.0)
+        assert np.all(out.trials <= 4 + 2)
+
+    @pytest.mark.parametrize("batch", [ars_batch, awrs_batch], ids=["ars", "awrs"])
+    def test_exact_kernels_raise(self, batch):
+        with pytest.raises(NoValidToken):
+            batch(Categorical(Z0_PRIOR), c_of(Z0_VALID), 64, make_rng(52))
 
 
 class TestNucleusTruncation:
@@ -507,13 +503,12 @@ class TestDeterminismAndConfig:
             lambda p, c, r: ars_batch(p, c, 64, r).tokens,
             lambda p, c, r: wrs_batch(p, c, 64, r).zhats,
             lambda p, c, r: awrs_batch(p, c, 64, r).zhats,
-            lambda p, c, r: awrs_sorted_batch(p, c, 64, r).zhats,
             lambda p, c, r: cawrs_batch(p, c, 64, r, 0.3, 0.63).zhats,
             lambda p, c, r: cwrs_batch(p, c, 64, r, 1, 4).zhats,
             lambda p, c, r: gawrs_batch(p, c, 64, r, 1, 4).zhats,
             lambda p, c, r: rawrs_batch(p, c, 64, r, 4).zhats,
         ],
-        ids=["rs", "ars", "wrs", "awrs", "awrs_sorted", "cawrs", "cwrs", "gawrs", "rawrs"],
+        ids=["rs", "ars", "wrs", "awrs", "cawrs", "cwrs", "gawrs", "rawrs"],
     )
     def test_same_seed_same_output(self, runner):
         prior = Categorical(P5)
@@ -528,8 +523,6 @@ class TestDeterminismAndConfig:
             SamplerConfig(theta0=0.5, theta1=0.5)
         with pytest.raises(ValueError):
             SamplerConfig(budget=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(top_p=0.0)
 
     def test_predicate_constraints_work_with_kernels(self):
         # Kernels must accept arbitrary (slow) predicate constraints too.
@@ -540,8 +533,8 @@ class TestDeterminismAndConfig:
 
     def test_scalar_wrappers_smoke(self):
         prior = Categorical(P5)
-        assert cawrs(prior, c_of(V5), make_rng(42), 0.3, 0.63).trials >= 1
-        assert cwrs(prior, c_of(V5), make_rng(43), 1, 3).trials <= 5
-        assert gawrs(prior, c_of(V5), make_rng(44), 1, 3).trials <= 5
-        assert rawrs(prior, c_of(V5), make_rng(45), 3).trials <= 4
-        assert wrs(prior, c_of(V5), make_rng(46)).zhat > 0
+        assert cawrs_batch(prior, c_of(V5), 1, make_rng(42), 0.3, 0.63).trials[0] >= 1
+        assert cwrs_batch(prior, c_of(V5), 1, make_rng(43), 1, 3).trials[0] <= 5
+        assert gawrs_batch(prior, c_of(V5), 1, make_rng(44), 1, 3).trials[0] <= 5
+        assert rawrs_batch(prior, c_of(V5), 1, make_rng(45), 3).trials[0] <= 4
+        assert wrs_batch(prior, c_of(V5), 1, make_rng(46)).zhats[0] > 0
