@@ -14,8 +14,13 @@ a batch of one. When no token is valid (z = 0) the exact adaptive
 samplers raise NoValidToken, while the clipped and budgeted ones return
 dead rows (``zhat = 0``) within their call caps.
 
-Rejected-mass accumulators use compensated (Kahan) summation so that long
-without-replacement runs do not drift.
+The without-replacement kernels keep each run's removed tokens as a
+packed bit row (V / 8 bytes) and its removed mass in a compensated (Kahan)
+accumulator, so long runs do not drift. A pool whose remaining mass is
+below 1e-6 of the prior's total is summed from its surviving tokens
+instead, so a small z never cancels to a zero estimate. Batches run in
+chunks of at most 32 MiB of packed pool, one after another on the same
+random stream.
 """
 
 from __future__ import annotations
@@ -82,8 +87,9 @@ class BatchWeighted:
     """Weighted batch draw, one (token, zhat) pair per run.
 
     ``zhats`` are zero for the dead samples of the clipped or budgeted
-    variants; exact variants return zero only when ``1 - psi0`` rounds
-    to zero, i.e. z is below float resolution.
+    variants. The exact variants return a positive ``zhat`` whenever z > 0,
+    unless the estimate itself underflows (z within a few factors of the
+    smallest denormal).
     ``trials`` counts constraint evaluations per run.
     ``rejected_mass_first_loop`` is the prior mass removed during the
     first without-replacement loop (zero for the with-replacement
@@ -105,24 +111,52 @@ def _draw_prior(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray
     return np.minimum(np.searchsorted(cum, u, side="right"), cum.shape[0] - 1)
 
 
+# Bit i of byte b in a packed pool row marks token 8 * b + i as removed.
+_BIT = (1 << np.arange(8)).astype(np.uint8)
+# A pool mass below this fraction of the total is summed from the pool's
+# surviving tokens: subtracting the removed mass would cancel to noise.
+_SMALL_POOL = 1e-6
+# Rows per block of the exact fallback draw: its (rows x V) float
+# temporaries stay near 2**21 cells (16 MiB each).
+_EXACT_CELLS = 1 << 21
+
+
 class _Removed:
-    """Per-run removed-token sets with compensated mass accumulation."""
+    """Per-run removed-token sets with compensated mass accumulation.
+
+    Each run's set is a packed bit row of ceil(V / 8) bytes, so a pool of
+    n runs costs n * V / 8 bytes.
+    """
 
     def __init__(self, n_runs: int, probs: np.ndarray, cum: np.ndarray):
         self.probs = probs
         self.cum = cum
-        self.mask = np.zeros((n_runs, probs.shape[0]), dtype=bool)
+        self.total = float(cum[-1])
+        self.bits = np.zeros((n_runs, (probs.shape[0] + 7) >> 3), dtype=np.uint8)
         self.mass = np.zeros(n_runs)
         self._comp = np.zeros(n_runs)
 
     def add(self, rows: np.ndarray, tokens: np.ndarray):
         if rows.size == 0:
             return
-        self.mask[rows, tokens] = True
+        # Rows are distinct within every call, so no two updates of this
+        # fancy-indexed |= hit the same byte and none is lost.
+        self.bits[rows, tokens >> 3] |= _BIT[tokens & 7]
         y = self.probs[tokens] - self._comp[rows]
         t = self.mass[rows] + y
         self._comp[rows] = (t - self.mass[rows]) - y
         self.mass[rows] = t
+
+    def left(self, rows: np.ndarray) -> np.ndarray:
+        """Prior mass still in each row's pool, never rounded to zero."""
+        # The kernels call this every step, mostly with no rows.
+        if rows.size == 0:
+            return self.mass[rows]
+        left = self.total - self.mass[rows]
+        small = left < _SMALL_POOL * self.total
+        if small.any():
+            left[small] = self._pool(rows[small]).sum(axis=1)
+        return left
 
     def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One draw per row from the prior renormalized over its pool.
@@ -132,9 +166,9 @@ class _Removed:
         costs no constraint evaluations. Rows whose removed mass is large
         (or that stay unlucky) fall back to an exact per-row inverse CDF.
         """
-        out = np.empty(rows.shape[0], dtype=np.int64)
-        pending = np.arange(rows.shape[0])
-        for attempt in range(20):
+        out = _draw_prior(self.cum, rows.shape[0], rng)
+        pending = self._removed(rows, out).nonzero()[0]
+        for attempt in range(1, 20):
             if pending.size == 0:
                 return out
             if attempt >= 4:
@@ -148,28 +182,42 @@ class _Removed:
                     if pending.size == 0:
                         return out
             cand = _draw_prior(self.cum, pending.shape[0], rng)
-            fresh = ~self.mask[rows[pending], cand]
+            fresh = ~self._removed(rows[pending], cand)
             out[pending[fresh]] = cand[fresh]
             pending = pending[~fresh]
         out[pending] = self._draw_exact(rows[pending], rng)
         return out
 
+    def _removed(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        return (self.bits[rows, tokens >> 3] & _BIT[tokens & 7]) != 0
+
+    def _pool(self, rows: np.ndarray) -> np.ndarray:
+        """(rows x V) prior masses with each row's removed tokens zeroed."""
+        vocab = self.probs.shape[0]
+        removed = np.unpackbits(self.bits[rows], axis=1, count=vocab, bitorder="little")
+        return np.where(removed, 0.0, self.probs[None, :])
+
     def _draw_exact(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        w = np.where(self.mask[rows], 0.0, self.probs[None, :])
-        c = np.cumsum(w, axis=1)
-        tot = c[:, -1]
-        if np.any(tot <= 0.0):
-            raise NoValidToken("every positive-mass token was rejected (z = 0?)")
-        # A denormal pool can round u up to tot, where the clamp below
-        # would return the last token even if it was removed.
-        u = np.minimum(rng.random(rows.shape[0]) * tot, np.nextafter(tot, 0.0))
-        idx = np.sum(c <= u[:, None], axis=1)
-        return np.minimum(idx, self.probs.shape[0] - 1)
+        vocab = self.probs.shape[0]
+        u = rng.random(rows.shape[0])
+        out = np.empty(rows.shape[0], dtype=np.int64)
+        step = max(1, _EXACT_CELLS // vocab)
+        for lo in range(0, rows.shape[0], step):
+            block = slice(lo, lo + step)
+            c = np.cumsum(self._pool(rows[block]), axis=1)
+            tot = c[:, -1]
+            if np.any(tot <= 0.0):
+                raise NoValidToken("every positive-mass token was rejected (z = 0?)")
+            # A denormal pool can round u up to tot, where the clamp below
+            # would return the last token even if it was removed.
+            ub = np.minimum(u[block] * tot, np.nextafter(tot, 0.0))
+            out[block] = np.sum(c <= ub[:, None], axis=1)
+        return np.minimum(out, vocab - 1)
 
 
 def _chunks(n: int, vocab: int) -> list[int]:
-    # Bounds each chunk's n x V removed-token mask at 2**25 cells.
-    per = max(1, min(n, (1 << 25) // max(vocab, 1)))
+    # Bounds each chunk's packed removed-token pool at 2**25 bytes (32 MiB).
+    per = max(1, min(n, (1 << 25) // ((vocab + 7) >> 3)))
     sizes = [per] * (n // per)
     if n % per:
         sizes.append(n % per)
@@ -300,6 +348,7 @@ def _awrs_chunk(prior, c, n, rng) -> BatchWeighted:
     trials = np.zeros(n, dtype=np.int64)
     nrej = np.zeros(n, dtype=np.int64)
     psi0 = np.zeros(n)
+    left0 = np.zeros(n)
     in_second = np.zeros(n, dtype=bool)
     alive = np.arange(n)
     while alive.size:
@@ -313,13 +362,14 @@ def _awrs_chunk(prior, c, n, rng) -> BatchWeighted:
         first_acc = alive[ok & ~second]
         tokens[first_acc] = cand[ok & ~second]
         psi0[first_acc] = rem.mass[first_acc]
+        left0[first_acc] = rem.left(first_acc)
         in_second[first_acc] = True
         # Rejections are unique: remove them for both loops.
         rej_rows = alive[~ok]
         rem.add(rej_rows, cand[~ok])
         nrej[rej_rows] += 1
         alive = alive[~(ok & second)]
-    zhats = (1.0 - psi0) / (nrej + 1.0)
+    zhats = left0 / (nrej + 1.0)
     return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials, rejected_mass_first_loop=psi0)
 
 
@@ -329,8 +379,9 @@ def awrs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Ge
     Loop one samples without replacement of rejected tokens until a token
     is accepted; loop two continues from the same depleted pool (with the
     accepted token put back) until it finds another acceptance. With
-    ``psi0`` the prior mass rejected in loop one and ``nrej`` the unique
-    rejections across both loops, ``zhat = (1 - psi0) / (nrej + 1)`` is an
+    ``total`` the prior's summed mass (1 up to rounding), ``psi0`` the
+    prior mass rejected in loop one and ``nrej`` the unique rejections
+    across both loops, ``zhat = (total - psi0) / (nrej + 1)`` is an
     unbiased estimate of z, and the returned token is exactly posterior
     distributed. Per loop the trial count never exceeds one plus the
     number of invalid tokens.
@@ -355,12 +406,13 @@ def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
     nrej = np.zeros(n, dtype=np.int64)
     n1 = np.zeros(n, dtype=np.int64)
     psi0 = np.zeros(n)
+    left0 = np.zeros(n)
     zhats = np.zeros(n)
     phase = np.full(n, _PHASE_LOOP0, dtype=np.int8)
     npos = int(np.count_nonzero(prior.probs > 0))
 
     def finish(rows, boosted):
-        base = (1.0 - psi0[rows]) / (nrej[rows] + 1.0)
+        base = left0[rows] / (nrej[rows] + 1.0)
         zhats[rows] = np.where(boosted, (n1[rows] + 1.0) * base, base)
         phase[rows] = _PHASE_DONE
 
@@ -378,12 +430,14 @@ def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
         acc0 = alive[l0 & ok]
         tokens[acc0] = cand[l0 & ok]
         psi0[acc0] = rem.mass[acc0]
+        left0[acc0] = rem.left(acc0)
         phase[acc0] = _PHASE_SECOND
         rej0 = alive[l0 & ~ok]
         rem.add(rej0, cand[l0 & ~ok])
         nrej[rej0] += 1
         over0 = rej0[rem.mass[rej0] > theta0]
         psi0[over0] = rem.mass[over0]
+        left0[over0] = rem.left(over0)
         phase[over0] = _PHASE_PROBE
         # Rejecting every positive-mass token leaves no pool to probe
         # (z = 0): the row ends dead on its last rejection.
@@ -434,9 +488,9 @@ def cawrs_batch(
     ``theta1``. Crossing ``theta0`` before any acceptance triggers a single
     probe draw: an invalid probe is returned as a dead sample with
     ``zhat = 0``; a valid probe is returned with the boosted estimate
-    ``(n1 + 1) * (1 - psi0) / (nrej + 1)`` after the second loop runs. The
-    pair (token, zhat) remains properly weighted for the local target, at
-    the price of occasional dead samples.
+    ``(n1 + 1) * (total - psi0) / (nrej + 1)`` after the second loop runs.
+    The pair (token, zhat) remains properly weighted for the local target,
+    at the price of occasional dead samples.
     """
     if not (0.0 < theta0 < theta1 < 1.0):
         raise ValueError("need 0 < theta0 < theta1 < 1")
@@ -591,7 +645,8 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
     tokens = np.full(n, -1, dtype=np.int64)
     zhats = np.zeros(n)
     trials = np.zeros(n, dtype=np.int64)
-    eta = np.ones(n)
+    # eta = total * prod(1 - q_j) over the rejections so far.
+    eta = np.full(n, rem.total)
     q_n = np.zeros(n)
     eta_n = np.ones(n)
     psi_scan = np.zeros(n)
@@ -604,12 +659,10 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
         scanning = np.flatnonzero(phase == 0)
         if scanning.size == 0:
             break
-        denom = 1.0 - rem.mass[scanning]
+        denom = rem.left(scanning)
         cand = rem.draw(scanning, rng)
-        # Clamp guards against q > 1 from float drift once nearly all
-        # mass has been removed; denom may round to 0, which gives q = 1.
-        with np.errstate(divide="ignore"):
-            q_i = np.minimum(probs[cand] / denom, 1.0)
+        # Clamp guards against q > 1 from float drift in denom.
+        q_i = np.minimum(probs[cand] / denom, 1.0)
         ok = c.evaluate_many(cand)
         trials[scanning] += 1
         nsteps[scanning] += 1
@@ -629,10 +682,16 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
         zhats[scanning[dead]] = 0.0
         phase[scanning[dead]] = 2
 
-        more = ~ok & ~dead
-        eta[scanning[more]] *= 1.0 - q_i[more]
         rem.add(rej, cand[~ok])
         psi_scan[rej] = rem.mass[rej]
+        more = ~ok & ~dead
+        keep = 1.0 - q_i[more]
+        # A rejection that takes nearly all of the pool cancels in 1 - q;
+        # the ratio of pool masses after and before it does not.
+        close = keep < _SMALL_POOL
+        if np.any(close):
+            keep[close] = rem.left(scanning[more][close]) / denom[more][close]
+        eta[scanning[more]] *= keep
 
         # Acceptance before the budget: remember the recursion state and
         # move to the probe. The accepted token leaves the pool too, since
@@ -646,8 +705,10 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
 
     probing = np.flatnonzero(phase == 1)
     # A drained pool means the accepted token had conditional probability
-    # one, where the probe branches coincide at eta_n.
-    drained = ~np.any(~rem.mask[probing] & (probs > 0)[None, :], axis=1)
+    # one, where the probe branches coincide at eta_n. Removed tokens are
+    # distinct and have positive mass, so the pool is drained once the
+    # rejections plus the accepted token number npos.
+    drained = failed[probing] + 1 == npos
     zhats[probing[drained]] = eta_n[probing[drained]]
     probing = probing[~drained]
     if probing.size:
@@ -671,12 +732,12 @@ def rawrs_batch(
 
     Scans a without-replacement sequence until the first acceptance or
     until R = budget tokens have been checked. With ``q_i`` the conditional
-    probability of the i-th draw and ``eta_i`` the product of
-    ``(1 - q_j)`` over the rejections so far: stopping at the budget gives
-    ``zhat = eta`` on acceptance and 0 otherwise; stopping early on an
-    acceptance spends one extra probe draw from the remaining pool and
-    gives ``eta_n`` if the probe is valid, else ``q_n * eta_n``. At most R
-    scan evaluations plus one probe per run.
+    probability of the i-th draw and ``eta_i`` the prior's total times the
+    product of ``(1 - q_j)`` over the rejections so far: stopping at the
+    budget gives ``zhat = eta`` on acceptance and 0 otherwise; stopping
+    early on an acceptance spends one extra probe draw from the remaining
+    pool and gives ``eta_n`` if the probe is valid, else ``q_n * eta_n``.
+    At most R scan evaluations plus one probe per run.
     """
     R = int(budget)
     if R < 1:

@@ -7,7 +7,9 @@ constraint-call count. They never call the library kernels, so agreement
 between the two is evidence, not tautology.
 
 All enumerators return a list of (probability, token, zhat, calls)
-tuples whose probabilities sum to one.
+tuples whose probabilities sum to one. Pool masses are summed from the
+surviving tokens, so priors that sum to 1 only within tolerance, and
+pools far smaller than the rounding error of 1, are handled exactly.
 """
 
 from __future__ import annotations
@@ -17,32 +19,39 @@ import numpy as np
 Trace = tuple[float, int, float, int]
 
 
+def _pool_mass(probs, removed: frozenset) -> float:
+    return sum(p for i, p in enumerate(probs) if i not in removed and p > 0)
+
+
 def _restricted(probs, removed: frozenset) -> list[tuple[int, float]]:
-    total = sum(p for i, p in enumerate(probs) if i not in removed and p > 0)
+    total = _pool_mass(probs, removed)
     return [(i, p / total) for i, p in enumerate(probs) if i not in removed and p > 0]
 
 
 def enumerate_awrs(probs, valid) -> list[Trace]:
-    """Two without-replacement loops; zhat = (1 - psi0) / (nrej + 1)."""
+    """Two without-replacement loops; zhat = left0 / (nrej + 1).
+
+    left0 is the pool mass at the first acceptance (total - psi0).
+    """
     out: list[Trace] = []
 
-    def loop2(path_p, removed, psi0, nrej, token, calls):
+    def loop2(path_p, removed, left0, nrej, token, calls):
         for tok, q in _restricted(probs, removed):
             p = path_p * q
             if valid[tok]:
-                out.append((p, token, (1.0 - psi0) / (nrej + 1), calls + 1))
+                out.append((p, token, left0 / (nrej + 1), calls + 1))
             else:
-                loop2(p, removed | {tok}, psi0, nrej + 1, token, calls + 1)
+                loop2(p, removed | {tok}, left0, nrej + 1, token, calls + 1)
 
-    def loop1(path_p, removed, psi0, nrej, calls):
+    def loop1(path_p, removed, nrej, calls):
         for tok, q in _restricted(probs, removed):
             p = path_p * q
             if valid[tok]:
-                loop2(p, removed, psi0, nrej, tok, calls + 1)
+                loop2(p, removed, _pool_mass(probs, removed), nrej, tok, calls + 1)
             else:
-                loop1(p, removed | {tok}, psi0 + probs[tok], nrej + 1, calls + 1)
+                loop1(p, removed | {tok}, nrej + 1, calls + 1)
 
-    loop1(1.0, frozenset(), 0.0, 0, 0)
+    loop1(1.0, frozenset(), 0, 0)
     return out
 
 
@@ -50,27 +59,27 @@ def enumerate_cawrs(probs, valid, theta0, theta1) -> list[Trace]:
     """Mass-clipped variant with the overflow probe."""
     out: list[Trace] = []
 
-    def second(path_p, removed, psi0, n0, n1, token, boosted, calls):
+    def second(path_p, removed, left0, n0, n1, token, boosted, calls):
         mass = sum(probs[i] for i in removed)
         for tok, q in _restricted(probs, removed):
             p = path_p * q
             n = n0 + n1
             if valid[tok]:
-                z = (1.0 - psi0) / (n + 1)
+                z = left0 / (n + 1)
                 out.append((p, token, (n1 + 1) * z if boosted else z, calls + 1))
             else:
                 new_mass = mass + probs[tok]
                 if new_mass > theta1:
-                    z = (1.0 - psi0) / (n + 2)
+                    z = left0 / (n + 2)
                     out.append((p, token, (n1 + 2) * z if boosted else z, calls + 1))
                 else:
-                    second(p, removed | {tok}, psi0, n0, n1 + 1, token, boosted, calls + 1)
+                    second(p, removed | {tok}, left0, n0, n1 + 1, token, boosted, calls + 1)
 
-    def probe(path_p, removed, psi0, n0, calls):
+    def probe(path_p, removed, left0, n0, calls):
         for tok, q in _restricted(probs, removed):
             p = path_p * q
             if valid[tok]:
-                second(p, removed, psi0, n0, 0, tok, True, calls + 1)
+                second(p, removed, left0, n0, 0, tok, True, calls + 1)
             else:
                 out.append((p, tok, 0.0, calls + 1))
 
@@ -78,13 +87,14 @@ def enumerate_cawrs(probs, valid, theta0, theta1) -> list[Trace]:
         for tok, q in _restricted(probs, removed):
             p = path_p * q
             if valid[tok]:
-                second(p, removed, psi0, n0, 0, tok, False, calls + 1)
+                second(p, removed, _pool_mass(probs, removed), n0, 0, tok, False, calls + 1)
             else:
                 new_psi = psi0 + probs[tok]
+                new_removed = removed | {tok}
                 if new_psi > theta0:
-                    probe(p, removed | {tok}, new_psi, n0 + 1, calls + 1)
+                    probe(p, new_removed, _pool_mass(probs, new_removed), n0 + 1, calls + 1)
                 else:
-                    first(p, removed | {tok}, new_psi, n0 + 1, calls + 1)
+                    first(p, new_removed, new_psi, n0 + 1, calls + 1)
 
     first(1.0, frozenset(), 0.0, 0, 0)
     return out
@@ -180,7 +190,7 @@ def enumerate_rawrs(probs, valid, R) -> list[Trace]:
             out.append((p, token, eta_n if valid[tok] else q_n * eta_n, calls + 1))
 
     def scan(path_p, removed, eta, nsteps, calls):
-        denom = 1.0 - sum(probs[i] for i in removed)
+        denom = _pool_mass(probs, removed)
         for tok, q in _restricted(probs, removed):
             p = path_p * q
             q_i = probs[tok] / denom
@@ -193,9 +203,12 @@ def enumerate_rawrs(probs, valid, R) -> list[Trace]:
                 if nsteps + 1 == R:
                     out.append((p, tok, 0.0, calls + 1))
                 else:
-                    scan(p, removed | {tok}, eta * (1.0 - q_i), nsteps + 1, calls + 1)
+                    # 1 - q_i, as a ratio of pool masses.
+                    rest = _pool_mass(probs, removed | {tok})
+                    scan(p, removed | {tok}, eta * rest / denom, nsteps + 1, calls + 1)
 
-    scan(1.0, frozenset(), 1.0, 0, 0)
+    # eta starts at the prior's total: zhat estimates unnormalized z.
+    scan(1.0, frozenset(), _pool_mass(probs, frozenset()), 0, 0)
     return out
 
 

@@ -7,6 +7,8 @@ library kernels must then reproduce the enumerator's expected weight,
 call count and output marginals within four standard errors.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,9 @@ import enumeration as en
 from zest.constraints import blackbox_constraint, mask_constraint
 from zest.dist import Categorical, normalize, sample
 from zest.errors import NoValidToken
+from zest.oracle import token_mask
 from zest.rng import make_rng
+from zest import samplers
 from zest.samplers import (
     SamplerConfig,
     ars_batch,
@@ -29,6 +33,7 @@ from zest.samplers import (
     top_p_compose,
     wrs_batch,
 )
+from zest.simharness import placed_mass_instance
 
 P3 = np.array([0.5, 0.3, 0.2])
 V3_LAST = np.array([False, False, True])
@@ -463,6 +468,103 @@ class TestZeroValidMass:
     def test_exact_kernels_raise(self, batch):
         with pytest.raises(NoValidToken):
             batch(Categorical(Z0_PRIOR), c_of(Z0_VALID), 64, make_rng(52))
+
+
+# Valid mass far below the rounding error of 1, down to a denormal; the
+# first prior and the last one sum to 1 only within SUM_TOL.
+SMALL_Z_PRIORS = ([1e-12, 1.0], [1e-17, 1.0], [2e-323, 1.0], [0.5, 0.3, 0.2 + 5e-10])
+SMALL_Z_KERNELS = {
+    "awrs": (lambda p, c, n, r: awrs_batch(p, c, n, r), lambda pr, v: en.enumerate_awrs(pr, v)),
+    "cawrs": (
+        lambda p, c, n, r: cawrs_batch(p, c, n, r, 0.25, 0.75),
+        lambda pr, v: en.enumerate_cawrs(pr, v, 0.25, 0.75),
+    ),
+    "rawrs": (lambda p, c, n, r: rawrs_batch(p, c, n, r, 8), lambda pr, v: en.enumerate_rawrs(pr, v, 8)),
+}
+
+
+class TestSmallValidMass:
+    """The exact estimators keep z > 0 visible and estimate the unnormalized z."""
+
+    @pytest.mark.parametrize("probs", SMALL_Z_PRIORS[:3], ids=["1e-12", "1e-17", "2e-323"])
+    @pytest.mark.parametrize("name", list(SMALL_Z_KERNELS))
+    def test_zhat_positive_on_every_row(self, name, probs):
+        valid = np.array([True, False])
+        out = SMALL_Z_KERNELS[name][0](Categorical(probs), c_of(valid), 64, make_rng(0))
+        assert np.all(out.zhats > 0)
+        assert np.all(valid[out.tokens])
+
+    @pytest.mark.parametrize("probs", SMALL_Z_PRIORS, ids=["1e-12", "1e-17", "2e-323", "sum-1+5e-10"])
+    @pytest.mark.parametrize("name", list(SMALL_Z_KERNELS))
+    def test_unbiased_for_token_mask_z(self, name, probs):
+        # The enumerated process has E[zhat] = token_mask z, and every row
+        # the kernel returns is one of its traces, weight included.
+        valid = np.zeros(len(probs), dtype=bool)
+        valid[-1 if len(probs) > 2 else 0] = True
+        prior, c = Categorical(probs), c_of(valid)
+        run, enumerate_traces = SMALL_Z_KERNELS[name]
+        traces = enumerate_traces(probs, valid.tolist())
+        assert en.expected_weight(traces) == pytest.approx(token_mask(prior, c).z, rel=1e-12, abs=0)
+        out = run(prior, c, 2000, make_rng(1))
+        for tok, zhat, calls in set(zip(out.tokens.tolist(), out.zhats.tolist(), out.trials.tolist())):
+            weights = [z for _, t, z, k in traces if t == tok and k == calls]
+            assert any(z == pytest.approx(zhat, rel=1e-12, abs=0) for z in weights), (tok, zhat, calls, weights)
+
+
+def byte_edge_instance(vocab):
+    """Invalid tokens on both sides of each byte edge (ids 7/8 and 15/16),
+    carrying 0.9 of the mass, so that both the bit test and the unpacked
+    exact fallback see them."""
+    invalid = [t for t in (0, 7, 8, 15, 16) if t < vocab]
+    valid = np.ones(vocab, dtype=bool)
+    valid[invalid] = False
+    rank = np.cumsum(valid)  # 1, 2, ... across the valid tokens
+    weights = np.where(valid, 0.1 * rank / rank[valid].sum(), 0.9 / len(invalid))
+    return Categorical(weights / weights.sum()), valid
+
+
+class TestPackedPool:
+    """The removed-token pool is one bit per token, packed eight to a byte."""
+
+    @pytest.mark.parametrize("vocab", [8, 9, 17])
+    def test_byte_edges(self, vocab):
+        prior, valid = byte_edge_instance(vocab)
+        n_invalid = int(np.sum(~valid))
+        exact = token_mask(prior, c_of(valid))
+        n = 40_000
+        ars = ars_batch(prior, c_of(valid), n, make_rng(60, vocab))
+        awrs = awrs_batch(prior, c_of(valid), n, make_rng(61, vocab))
+        assert np.all(ars.trials <= n_invalid + 1)
+        assert np.all(awrs.trials <= n_invalid + 2)
+        for out in (ars, awrs):
+            emp = np.bincount(out.tokens, minlength=vocab) / n
+            assert 0.5 * np.abs(emp - exact.post.probs).sum() < 0.02
+        assert abs(awrs.zhats.mean() - exact.z) <= 4 * awrs.zhats.std() / np.sqrt(n)
+
+    def test_exact_fallback_block_size_changes_nothing(self, monkeypatch):
+        # Hundreds of these runs reach the exact fallback at once; it draws
+        # its uniforms before splitting the rows into blocks.
+        prior, valid = byte_edge_instance(17)
+        runs = []
+        for cells in (samplers._EXACT_CELLS, 3 * 17):
+            monkeypatch.setattr(samplers, "_EXACT_CELLS", cells)
+            runs.append(awrs_batch(prior, c_of(valid), 2000, make_rng(63)))
+        for field in ("tokens", "zhats", "trials"):
+            np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
+
+    @pytest.mark.parametrize("batch", [awrs_batch, rawrs_batch], ids=["awrs", "rawrs"])
+    def test_memory_at_large_vocab(self, batch):
+        # 1000 runs at V = 1e5 hold a 12.5 MB packed pool in one chunk.
+        prior, valid = placed_mass_instance(10**5, 0.9, 100)
+        c = c_of(valid)
+        prior.cumulative()
+        tracemalloc.start()
+        try:
+            batch(prior, c, 1000, make_rng(62))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestNucleusTruncation:
