@@ -18,7 +18,7 @@ import click
 
 from . import simharness, smc
 from .constraints import DfaPattern, TrieLanguage
-from .dist import sample as draw_token
+from .dist import Categorical
 from .errors import ZestError
 from .rng import make_rng
 from .samplers import SamplerConfig, top_p_compose
@@ -56,32 +56,20 @@ def _load_language(lm: ToyLM, language, language_file, pattern):
             strings = tuple(s.strip() for s in body.split(",") if s.strip() != "") if body else ()
         else:
             _fail_config("--language expects '{s1,s2,...}' or a builtin name")
-        bad = [s for s in strings if any(ch not in lm.alphabet for ch in s)]
-        if bad:
-            _fail_config(f"language strings {bad} use symbols outside the model alphabet")
-        return TrieLanguage(strings, alphabet=lm.alphabet)
-    if language_file is not None:
-        return TrieLanguage.from_file(language_file, alphabet=lm.alphabet)
-    if pattern is not None:
+    try:
+        if language is not None:
+            return TrieLanguage(strings, alphabet=lm.alphabet)
+        if language_file is not None:
+            return TrieLanguage.from_file(language_file, alphabet=lm.alphabet)
+        if pattern is None:
+            return None
         dfa = DfaPattern.from_json(pattern)
-        if tuple(dfa.alphabet) != tuple(lm.alphabet):
-            _fail_config("pattern alphabet does not match the model alphabet")
-        return dfa
-    return None
-
-
-class _TruncatedLM:
-    """View of a model with nucleus truncation applied to every step."""
-
-    def __init__(self, lm: ToyLM, p: float):
-        self._lm = lm
-        self._p = p
-        self.alphabet = lm.alphabet
-        self.eos = lm.eos
-        self.max_len = lm.max_len
-
-    def next_dist(self, prefix: str):
-        return top_p_compose(self._lm.next_dist(prefix), self._p)
+    except (ValueError, TypeError, OSError) as e:
+        # ValueError: bad symbol, state or JSON; TypeError: a JSON field of the wrong type.
+        _fail_config(f"malformed constraint: {e}")
+    if dfa.alphabet != lm.alphabet:
+        _fail_config("pattern alphabet does not match the model alphabet")
+    return dfa
 
 
 def _emit(payload: dict, out: str | None):
@@ -187,7 +175,9 @@ def generate(ctx, config, **values):
     except ValueError as e:
         _fail_config(str(e))
     if top_p is not None:
-        lm = _TruncatedLM(lm, top_p)
+        # Nucleus truncation is a fixed per-context transform, so apply it to the tables once.
+        tables = {ctx: top_p_compose(Categorical(row), top_p).probs for ctx, row in lm.tables.items()}
+        lm = ToyLM(lm.alphabet, lm.order, lm.max_len, tables)
 
     t0 = time.perf_counter()
     try:
@@ -213,17 +203,8 @@ def _rollout_freqs(strings: list[str]) -> dict[str, float]:
 
 def _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, seed) -> dict:
     if method == "lm":
-        strings = []
-        for i in range(n):
-            rng = make_rng(seed, 0, i)
-            prefix = ""
-            while True:
-                token = draw_token(lm.next_dist(prefix), rng)
-                if token == lm.eos:
-                    break
-                prefix += lm.alphabet[token]
-            strings.append(prefix)
-        return {"g_hat": 1.0, "posterior_estimate": _rollout_freqs(strings), "eval_counts": []}
+        ens = smc.sample_verify(lm, lambda s: True, n, seed=seed)
+        return {"g_hat": ens.g_hat, "posterior_estimate": ens.posterior_estimate, "eval_counts": []}
 
     if method in ("lcd-mask", "lcd-ars"):
         before = family.counter.count
@@ -236,8 +217,7 @@ def _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, 
         }
 
     if method == "sample-verify":
-        check = family.accepts if isinstance(family, DfaPattern) else (lambda s: s in family)
-        ens = smc.sample_verify(lm, check, n, seed=seed)
+        ens = smc.sample_verify(lm, family, n, seed=seed)
         return _ensemble_payload(ens)
 
     if method == "is":

@@ -6,8 +6,13 @@ currency: every sampler's cost is measured in how many (prefix, token)
 predicate calls it makes, so the counter must tally exactly one unit per
 queried token, never more, never fewer.
 
-Constraints here are stateless with respect to sampling: they are
-re-derived per prefix from an immutable language or pattern object.
+Every constraint family compiles to one table-driven automaton,
+``DfaPattern``: integer states, a dead state, and a precomputed
+state-by-token accept mask, so a per-prefix constraint is one walk along
+the prefix plus a table row. ``TrieLanguage`` is the automaton whose
+states are the nodes of a trie over a finite string set. Families are
+stateless with respect to sampling: each per-prefix constraint is
+re-derived from the immutable table.
 Token ids follow the convention of the toy language models: symbols are
 ``0 .. alphabet_size - 1`` and the end-of-string token is
 ``alphabet_size``, an ordinary id so samplers need no special casing.
@@ -76,8 +81,7 @@ class TokenConstraint:
 
 def mask_constraint(valid: np.ndarray, counter: EvalCounter | None = None) -> TokenConstraint:
     """Constraint given directly as a boolean valid-token mask."""
-    valid = np.asarray(valid, dtype=bool)
-    return TokenConstraint(lambda toks: valid[toks], counter)
+    return TokenConstraint(np.asarray(valid, dtype=bool).__getitem__, counter)
 
 
 def blackbox_constraint(
@@ -93,105 +97,72 @@ def blackbox_constraint(
     return TokenConstraint(many, counter)
 
 
-class TrieLanguage:
-    """A finite set of symbol strings with prefix queries via a trie.
-
-    The derived per-prefix constraint accepts a symbol iff the extended
-    prefix still leads to some stored string, and accepts end-of-string
-    iff the prefix itself is a stored string. An off-trie prefix yields an
-    everywhere-false constraint; callers detect that through the Z = 0
-    path rather than an exception.
-    """
-
-    def __init__(self, strings: Iterable[str], alphabet: Iterable[str] | None = None):
-        self.strings = frozenset(strings)
-        if alphabet is None:
-            alphabet = sorted({ch for s in self.strings for ch in s})
-        self.alphabet = tuple(alphabet)
-        self._sym_id = {ch: i for i, ch in enumerate(self.alphabet)}
-        for s in self.strings:
-            for ch in s:
-                if ch not in self._sym_id:
-                    raise ValueError(f"symbol {ch!r} not in alphabet")
-        self.counter = EvalCounter()
-        self._mask_cache: dict[str, np.ndarray] = {}
-        self._trie: dict = {}
-        for s in self.strings:
-            node = self._trie
-            for ch in s:
-                node = node.setdefault(ch, {})
-
-    @classmethod
-    def from_file(cls, path, alphabet: Iterable[str] | None = None) -> "TrieLanguage":
-        """Load one string per line from a newline-delimited UTF-8 file."""
-        with open(path, encoding="utf-8") as fh:
-            strings = [line.rstrip("\n") for line in fh if line.rstrip("\n") != ""]
-        return cls(strings, alphabet)
-
-    @property
-    def eos(self) -> int:
-        return len(self.alphabet)
-
-    def __contains__(self, s: str) -> bool:
-        return s in self.strings
-
-    def __len__(self) -> int:
-        return len(self.strings)
-
-    def _node(self, prefix: str):
-        node = self._trie
-        for ch in prefix:
-            node = node.get(ch)
-            if node is None:
-                return None
-        return node
-
-    def is_valid_prefix(self, prefix: str) -> bool:
-        if not self.strings:
-            return False
-        return self._node(prefix) is not None
-
-    def valid_next(self, prefix: str) -> np.ndarray:
-        """Boolean accept mask over token ids (symbols then eos)."""
-        mask = self._mask_cache.get(prefix)
-        if mask is not None:
-            return mask
-        mask = np.zeros(len(self.alphabet) + 1, dtype=bool)
-        node = self._node(prefix)
-        if node is not None:
-            for ch in node:
-                mask[self._sym_id[ch]] = True
-        mask[self.eos] = prefix in self.strings
-        self._mask_cache[prefix] = mask
-        return mask
-
-    def constraint_at(self, prefix: str) -> TokenConstraint:
-        mask = self.valid_next(prefix)
-        return TokenConstraint(lambda toks: mask[toks], self.counter)
-
-
 class DfaPattern:
-    """A deterministic automaton over the symbol alphabet.
+    """A deterministic automaton over the symbol alphabet, compiled to tables.
 
-    A prefix is valid exactly when the state it drives the automaton to is
-    live, i.e. some accepting state is still reachable. Missing
-    transitions go to an implicit dead state.
+    States are the ints ``0 .. S-1`` in the order of ``states``, plus the
+    dead state ``S``. Missing transitions lead to the dead state, and so
+    do transitions into any state from which no accepting state is
+    reachable, so a prefix is valid exactly when its state is not dead.
+    ``valid`` is the read-only ``(S+1) x (alphabet_size+1)`` accept mask:
+    row ``s`` allows a symbol whose transition stays live, and allows
+    end-of-string when ``s`` accepts. State names are any hashable
+    values; an undeclared state, start or symbol raises ValueError.
     """
 
     def __init__(self, states, alphabet, transitions, accepting, start=None):
-        self.states = list(states)
+        names = list(states)
+        index = {name: i for i, name in enumerate(names)}
+
+        def state_id(name):
+            if name not in index:
+                raise ValueError(f"undeclared state {name!r}")
+            return index[name]
+
         self.alphabet = tuple(alphabet)
-        self._sym_id = {ch: i for i, ch in enumerate(self.alphabet)}
-        # transitions: state -> symbol -> state
-        self.transitions = {s: dict(t) for s, t in transitions.items()}
-        self.accepting = set(accepting)
-        self.start = self.states[0] if start is None else start
+        sym_id = {ch: i for i, ch in enumerate(self.alphabet)}
+        dead = len(names)
+        # edges[s] maps symbol -> state; the dead state has no edges.
+        edges: list[dict] = [{} for _ in range(dead + 1)]
+        for name, row in dict(transitions).items():
+            src = state_id(name)
+            for ch, dst in dict(row).items():
+                if ch not in sym_id:
+                    raise ValueError(f"symbol {ch!r} not in alphabet")
+                edges[src][ch] = state_id(dst)
+        final = {state_id(name) for name in accepting}
+        start = state_id(names[0] if start is None and names else start)
+
+        # Live states reach an accepting state: search back from the finals.
+        preds: list[list[int]] = [[] for _ in range(dead + 1)]
+        for src, row in enumerate(edges):
+            for dst in row.values():
+                preds[dst].append(src)
+        live, stack = set(final), list(final)
+        while stack:
+            for src in preds[stack.pop()]:
+                if src not in live:
+                    live.add(src)
+                    stack.append(src)
+
+        self._edges = [{ch: dst for ch, dst in row.items() if dst in live} for row in edges]
+        self._start = start if start in live else dead
+        self._dead = dead
         self.counter = EvalCounter()
-        self.live = self._live_states()
+        valid = np.zeros((dead + 1, len(self.alphabet) + 1), dtype=bool)
+        for s, row in enumerate(self._edges):
+            valid[s, [sym_id[ch] for ch in row]] = True
+        valid[list(final), self.eos] = True
+        valid.flags.writeable = False
+        self.valid = valid
+        self._rows = list(valid)  # one view per state: a list index is cheaper than valid[s]
 
     @classmethod
     def from_json(cls, source) -> "DfaPattern":
-        """Build from a JSON file path, JSON text, or an already-parsed dict."""
+        """Build from a JSON file path, JSON text, or an already-parsed dict.
+
+        A missing key raises ValueError, as does malformed JSON text.
+        """
         if isinstance(source, dict):
             doc = source
         else:
@@ -201,58 +172,65 @@ class DfaPattern:
             else:
                 with open(source, encoding="utf-8") as fh:
                     doc = json.load(fh)
-        return cls(
-            states=doc["states"],
-            alphabet=doc["alphabet"],
-            transitions=doc["transitions"],
-            accepting=doc["accepting"],
-            start=doc.get("start"),
-        )
+        try:
+            fields = {key: doc[key] for key in ("states", "alphabet", "transitions", "accepting")}
+        except KeyError as e:
+            raise ValueError(f"automaton JSON lacks the key {e.args[0]!r}") from None
+        return cls(**fields, start=doc.get("start"))
 
     @property
     def eos(self) -> int:
         return len(self.alphabet)
 
-    def _live_states(self) -> set:
-        # Reverse reachability from the accepting set.
-        live = set(self.accepting)
-        changed = True
-        while changed:
-            changed = False
-            for s, trans in self.transitions.items():
-                if s not in live and any(t in live for t in trans.values()):
-                    live.add(s)
-                    changed = True
-        return live
-
-    def state_after(self, prefix: str):
-        """Drive the automaton along ``prefix``; None once it dies."""
-        state = self.start
+    def state_after(self, prefix: str) -> int:
+        """The state ``prefix`` drives the automaton to (the dead state once it dies)."""
+        edges, dead, state = self._edges, self._dead, self._start
         for ch in prefix:
-            state = self.transitions.get(state, {}).get(ch)
-            if state is None or state not in self.live:
-                return None
+            state = edges[state].get(ch, dead)
         return state
 
     def accepts(self, s: str) -> bool:
-        state = self.state_after(s)
-        return state is not None and state in self.accepting
+        return bool(self.valid[self.state_after(s), self.eos])
+
+    __contains__ = accepts
 
     def is_valid_prefix(self, prefix: str) -> bool:
-        return self.state_after(prefix) is not None
+        return self.state_after(prefix) != self._dead
 
     def valid_next(self, prefix: str) -> np.ndarray:
-        mask = np.zeros(len(self.alphabet) + 1, dtype=bool)
-        state = self.state_after(prefix)
-        if state is None:
-            return mask
-        trans = self.transitions.get(state, {})
-        for ch, nxt in trans.items():
-            if nxt in self.live:
-                mask[self._sym_id[ch]] = True
-        mask[self.eos] = state in self.accepting
-        return mask
+        """Read-only boolean accept mask over token ids (symbols then eos)."""
+        return self._rows[self.state_after(prefix)]
 
     def constraint_at(self, prefix: str) -> TokenConstraint:
-        mask = self.valid_next(prefix)
-        return TokenConstraint(lambda toks: mask[toks], self.counter)
+        return mask_constraint(self.valid_next(prefix), self.counter)
+
+
+class TrieLanguage(DfaPattern):
+    """A finite set of symbol strings, compiled with trie nodes as states.
+
+    A state is a prefix of some stored string; the per-prefix constraint
+    accepts a symbol iff the extended prefix still leads to a stored
+    string, and accepts end-of-string iff the prefix itself is stored. An
+    off-trie prefix yields an everywhere-false constraint; callers detect
+    that through the Z = 0 path rather than an exception.
+    """
+
+    def __init__(self, strings: Iterable[str], alphabet: Iterable[str] | None = None):
+        self.strings = frozenset(strings)
+        if alphabet is None:
+            alphabet = sorted({ch for s in self.strings for ch in s})
+        nodes = sorted({s[:i] for s in self.strings for i in range(len(s) + 1)} | {""})
+        children: dict[str, dict[str, str]] = {node: {} for node in nodes}
+        for node in nodes[1:]:
+            children[node[:-1]][node[-1]] = node
+        super().__init__(nodes, alphabet, children, self.strings, start="")
+
+    @classmethod
+    def from_file(cls, path, alphabet: Iterable[str] | None = None) -> "TrieLanguage":
+        """Load one string per line from a newline-delimited UTF-8 file."""
+        with open(path, encoding="utf-8") as fh:
+            strings = [line.rstrip("\n") for line in fh if line.rstrip("\n") != ""]
+        return cls(strings, alphabet)
+
+    def __len__(self) -> int:
+        return len(self.strings)

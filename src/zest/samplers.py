@@ -455,6 +455,9 @@ def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
         live = alive[pr & ok]
         tokens[live] = cand[pr & ok]
         phase[live] = _PHASE_SECOND_POST
+        # A rejection that crossed theta1 along with theta0 leaves the
+        # second loop already stopped: it makes no draw.
+        finish(live[rem.mass[live] > theta1], True)
 
         # Second loop (either flavor): continue until acceptance or the
         # total rejected mass crosses theta1.
@@ -489,8 +492,12 @@ def cawrs_batch(
     probe draw: an invalid probe is returned as a dead sample with
     ``zhat = 0``; a valid probe is returned with the boosted estimate
     ``(n1 + 1) * (total - psi0) / (nrej + 1)`` after the second loop runs.
-    The pair (token, zhat) remains properly weighted for the local target,
-    at the price of occasional dead samples.
+    The second loop also stops on the rejection that takes the removed
+    mass past ``theta1``, and makes no draw at all when the probe starts
+    it already past ``theta1``; a stopped row keeps the estimate it would
+    get from an acceptance on the next draw. The pair (token, zhat) stays
+    properly weighted for the local target, at the price of occasional
+    dead samples.
     """
     if not (0.0 < theta0 < theta1 < 1.0):
         raise ValueError("need 0 < theta0 < theta1 < 1")

@@ -79,7 +79,11 @@ def enumerate_cawrs(probs, valid, theta0, theta1) -> list[Trace]:
         for tok, q in _restricted(probs, removed):
             p = path_p * q
             if valid[tok]:
-                second(p, removed, left0, n0, 0, tok, True, calls + 1)
+                # Already past theta1: the second loop is stopped before it draws.
+                if sum(probs[i] for i in removed) > theta1:
+                    out.append((p, tok, left0 / (n0 + 1), calls + 1))
+                else:
+                    second(p, removed, left0, n0, 0, tok, True, calls + 1)
             else:
                 out.append((p, tok, 0.0, calls + 1))
 

@@ -47,6 +47,11 @@ class TestGenerate:
         assert out["g_hat"] == 1.0
         assert abs(sum(out["posterior_estimate"].values()) - 1.0) < 1e-9
 
+    def test_top_p_truncates_the_model(self, runner):
+        # At p = 0.5 the nucleus keeps only 'a' at the root, and only 'b' after it.
+        out = run_json(runner, ["generate", "--method", "lm", "--top-p", "0.5", "--n", "200", "--seed", "3"])
+        assert out["posterior_estimate"] == {"ab": pytest.approx(1.0)}
+
     def test_lcd_variants_agree(self, runner):
         a = run_json(
             runner,
@@ -223,6 +228,25 @@ class TestExitCodes:
             cfg.write_text(json.dumps(values), encoding="utf-8")
             args = ["--config", str(cfg)]
         result = runner.invoke(main, ["generate", *args])
+        assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            ["--language-file", "BADSYM"],
+            ["--pattern", '{"states": ["q0"]}'],
+            ["--pattern", "{not json"],
+            ["--pattern", "/nonexistent/dfa.json"],
+            ["--pattern", json.dumps({"states": ["q0"], "alphabet": ["a", "b"],
+                                      "transitions": {"q0": {"a": "q9"}}, "accepting": ["q0"]})],
+        ],
+        ids=["symbol-outside-alphabet", "missing-key", "bad-json", "missing-file", "undeclared-state"],
+    )
+    def test_malformed_constraint_is_two(self, runner, tmp_path, constraint):
+        bad_symbols = tmp_path / "lang.txt"
+        bad_symbols.write_text("aa\naz\n", encoding="utf-8")
+        args = [str(bad_symbols) if x == "BADSYM" else x for x in constraint]
+        result = runner.invoke(main, ["generate", "--method", "is", *args])
         assert result.exit_code == 2, result.output
 
     def test_inference_failure_is_three(self, runner):

@@ -1,5 +1,8 @@
 """Local constraints: trie languages, automaton patterns, counting."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,14 +100,37 @@ class TestDfaConstraint:
             "transitions": {"s0": {"a": "s0", "b": "s1"}, "s1": {}},
             "accepting": ["s1"],
         }
-        import json
-
         path = tmp_path / "dfa.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         dfa = DfaPattern.from_json(path)
         assert dfa.accepts("ab")
         inline = DfaPattern.from_json(json.dumps(doc))
         assert inline.accepts("b")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"transitions": {"s0": {"a": "s9"}}},
+            {"transitions": {"s9": {}}},
+            {"transitions": {"s0": {"z": "s1"}}},
+            {"accepting": ["s9"]},
+            {"start": "s9"},
+            {"states": [], "accepting": []},
+        ],
+        ids=["target", "source", "symbol", "accepting", "start", "no-states"],
+    )
+    def test_undeclared_names_raise(self, change):
+        doc = {"states": ["s0", "s1"], "alphabet": ["a", "b"], "transitions": {}, "accepting": ["s1"]}
+        with pytest.raises(ValueError):
+            DfaPattern(**{**doc, **change})
+
+    def test_from_json_missing_key_raises(self):
+        with pytest.raises(ValueError, match="transitions"):
+            DfaPattern.from_json('{"states": ["q0"], "alphabet": ["a"], "accepting": []}')
+
+    def test_mask_table_is_read_only(self, a_star_b):
+        with pytest.raises(ValueError):
+            a_star_b.valid_next("a")[0] = False
 
 
 class TestBlackbox:
@@ -175,3 +201,87 @@ class TestPrefixOracleExactness:
             return
         mask = lang.constraint_at(dead).evaluate_many(np.arange(4, dtype=np.int64))
         assert not mask.any()
+
+
+SYMBOLS = ("a", "b", "c")
+PREFIXES = ["".join(p) for k in range(5) for p in itertools.product(SYMBOLS, repeat=k)]
+
+
+@st.composite
+def small_dfa(draw):
+    """A random automaton doc: up to 5 states named by mixed JSON values."""
+    names = draw(st.lists(st.one_of(st.text("pqr", min_size=1, max_size=2), st.integers(0, 9)),
+                          min_size=1, max_size=5, unique=True))
+    transitions = {}
+    for name in names:
+        row = draw(st.dictionaries(st.sampled_from(SYMBOLS), st.sampled_from(names), max_size=3))
+        if row or draw(st.booleans()):
+            transitions[name] = row
+    accepting = draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names)))
+    start = draw(st.one_of(st.none(), st.sampled_from(names)))
+    return {"states": names, "alphabet": SYMBOLS, "transitions": transitions,
+            "accepting": accepting, "start": start}
+
+
+def _ref_walk(doc, prefix):
+    state = doc["states"][0] if doc["start"] is None else doc["start"]
+    for ch in prefix:
+        state = doc["transitions"].get(state, {}).get(ch)
+        if state is None:
+            return None
+    return state
+
+
+def _ref_completable(doc, state):
+    # Breadth-first search: is some accepting state reachable from ``state``?
+    seen, frontier = {state}, [state]
+    while frontier:
+        if any(s in doc["accepting"] for s in frontier):
+            return True
+        frontier = [t for s in frontier for t in doc["transitions"].get(s, {}).values() if t not in seen]
+        seen.update(frontier)
+    return False
+
+
+class TestCompiledAutomaton:
+    """The compiled tables agree with the automaton's definition."""
+
+    @given(small_dfa())
+    @settings(max_examples=150)
+    def test_matches_definition(self, doc):
+        dfa = DfaPattern(**doc)
+        for prefix in PREFIXES:
+            state = _ref_walk(doc, prefix)
+            expected = np.zeros(len(SYMBOLS) + 1, dtype=bool)
+            if state is not None:
+                for i, ch in enumerate(SYMBOLS):
+                    nxt = doc["transitions"].get(state, {}).get(ch)
+                    expected[i] = nxt is not None and _ref_completable(doc, nxt)
+                expected[-1] = state in doc["accepting"]
+            assert dfa.valid_next(prefix).tolist() == expected.tolist(), prefix
+            assert dfa.accepts(prefix) == (prefix in dfa) == bool(expected[-1])
+            live = state is not None and _ref_completable(doc, state)
+            assert dfa.is_valid_prefix(prefix) == live
+
+    def test_trie_matches_hand_written_automaton(self):
+        strings = ["b", "ab", "abc", "cb"]
+        # Minimal automaton for the same language, plus a trap state and an
+        # unreachable state, neither of which may show in any mask.
+        dfa = DfaPattern(
+            states=["q0", "q1", "q2", "q3", "fin", "trap", "orphan"],
+            alphabet=SYMBOLS,
+            transitions={
+                "q0": {"a": "q1", "b": "fin", "c": "q3"},
+                "q1": {"a": "trap", "b": "q2"},
+                "q2": {"c": "fin"},
+                "q3": {"b": "fin"},
+                "trap": {"a": "trap", "b": "trap"},
+                "orphan": {"a": "q0"},
+            },
+            accepting=["q2", "fin"],
+        )
+        lang = TrieLanguage(strings, alphabet=SYMBOLS)
+        for prefix in PREFIXES:
+            assert lang.valid_next(prefix).tolist() == dfa.valid_next(prefix).tolist(), prefix
+            assert (prefix in lang) == (prefix in dfa) == (prefix in strings)
+            assert lang.is_valid_prefix(prefix) == dfa.is_valid_prefix(prefix)

@@ -225,6 +225,17 @@ class TestClippedAdaptive:
         proper_weighting_exact(traces, P5, V5)
         mc_against_oracle(lambda p, n, r: cawrs_batch(p, c_of(V5), n, r, 0.3, 0.63), traces, P5)
 
+    @pytest.mark.parametrize("theta0, theta1", [(0.2718281828, 0.7182818284), (0.1, 0.2)])
+    def test_rejection_crossing_both_thresholds(self, theta0, theta1):
+        # Rejecting token 3 (mass 5/8) crosses theta0 and theta1 at once, so
+        # a valid probe starts the second loop already stopped.
+        probs = [1 / 8, 1 / 8, 1 / 8, 5 / 8]
+        valid = [False, False, True, False]
+        traces = en.enumerate_cawrs(probs, valid, theta0, theta1)
+        assert en.expected_weight(traces) == pytest.approx(0.125, abs=1e-12)
+        proper_weighting_exact(traces, probs, valid)
+        mc_against_oracle(lambda p, n, r: cawrs_batch(p, c_of(valid), n, r, theta0, theta1), traces, probs)
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             cawrs_batch(Categorical(P3), c_of(V3_LAST), 1, make_rng(0), 0.7, 0.3)
