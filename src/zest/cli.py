@@ -40,7 +40,11 @@ def _load_model(source: str) -> ToyLM:
     if source in BUILTIN_MODELS:
         return builtin_model(source)
     if Path(source).exists():
-        return ToyLM.from_json(source)
+        try:
+            return ToyLM.from_json(source)
+        except (ValueError, TypeError, OSError) as e:
+            # ValueError: bad JSON, a missing key or a bad table row; TypeError: a field of the wrong type.
+            _fail_config(f"malformed model: {e}")
     _fail_config(f"unknown model {source!r}: not a builtin name or a readable JSON file")
 
 

@@ -21,6 +21,14 @@ below 1e-6 of the prior's total is summed from its surviving tokens
 instead, so a small z never cancels to a zero estimate. Batches run in
 chunks of at most 32 MiB of packed pool, one after another on the same
 random stream.
+
+A draw from a depleted pool is a draw from the prior that skips removed
+tokens: rejection from the prior, hence exact. A row that hits a removed
+token is redrawn in rounds; each round draws enough candidates for the
+row's removed mass that the row stays unserved with probability at most
+e^-2, so a heavily depleted pool costs a few vectorized rounds rather
+than many single redraws. Only a pool whose batch would reach a sixth of
+the vocabulary size is drawn by an exact O(V) inverse CDF.
 """
 
 from __future__ import annotations
@@ -91,15 +99,11 @@ class BatchWeighted:
     unless the estimate itself underflows (z within a few factors of the
     smallest denormal).
     ``trials`` counts constraint evaluations per run.
-    ``rejected_mass_first_loop`` is the prior mass removed during the
-    first without-replacement loop (zero for the with-replacement
-    samplers, which remove nothing).
     """
 
     tokens: np.ndarray
     zhats: np.ndarray
     trials: np.ndarray
-    rejected_mass_first_loop: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +120,9 @@ _BIT = (1 << np.arange(8)).astype(np.uint8)
 # A pool mass below this fraction of the total is summed from the pool's
 # surviving tokens: subtracting the removed mass would cancel to noise.
 _SMALL_POOL = 1e-6
-# Rows per block of the exact fallback draw: its (rows x V) float
-# temporaries stay near 2**21 cells (16 MiB each).
-_EXACT_CELLS = 1 << 21
+# Cells per block of the exact draw's (rows x V) float temporaries and of
+# a redraw round's candidates: near 2**21 cells (16 MiB each).
+_BLOCK_CELLS = 1 << 21
 
 
 class _Removed:
@@ -161,32 +165,67 @@ class _Removed:
     def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One draw per row from the prior renormalized over its pool.
 
-        Draws from the unrestricted prior and skips hits on removed
-        tokens, which is distributionally identical to renormalizing and
-        costs no constraint evaluations. Rows whose removed mass is large
-        (or that stay unlucky) fall back to an exact per-row inverse CDF.
+        Draws from the unrestricted prior and redraws rows that hit a
+        removed token. That is rejection from the prior, so each row gets
+        exactly the renormalized pool, and it costs no constraint
+        evaluation. A prior draw hits a row's removed tokens with chance
+        mass / total, so ``k = ceil(2 / log(total / mass))`` candidates (no
+        more than ``ceil(2 / keep)``, with ``keep = (total - mass) / total``)
+        all hit with probability at most e^-2. Each round draws its own k
+        for every pending row, and each row takes its first candidate that
+        is not removed. A lightly depleted row has k = 1, a plain redraw.
+        A row whose k would reach a sixth of the vocabulary size takes the
+        exact O(V) draw instead. Of the targets e^-1 to e^-4, e^-2 drew
+        fastest on priors whose top token (mass 0.9) was removed, at V = 50,
+        1e3 and 1e5: fewer candidates than e^-3 or e^-4, fewer rounds than
+        e^-1.
         """
         out = _draw_prior(self.cum, rows.shape[0], rng)
         pending = self._removed(rows, out).nonzero()[0]
-        for attempt in range(1, 20):
-            if pending.size == 0:
-                return out
-            if attempt >= 4:
-                heavy = self.mass[rows[pending]] > 0.5
-                if attempt >= 19:
-                    heavy[:] = True
-                if np.any(heavy):
-                    sel = pending[heavy]
-                    out[sel] = self._draw_exact(rows[sel], rng)
-                    pending = pending[~heavy]
-                    if pending.size == 0:
-                        return out
-            cand = _draw_prior(self.cum, pending.shape[0], rng)
-            fresh = ~self._removed(rows[pending], cand)
-            out[pending[fresh]] = cand[fresh]
-            pending = pending[~fresh]
-        out[pending] = self._draw_exact(rows[pending], rng)
+        vocab = self.probs.shape[0]
+        while pending.size:
+            # -log of the chance that one prior draw hits the row's removed tokens.
+            depth = np.log(self.total / self.mass[rows[pending]])
+            low = float(depth.min())
+            if low >= 2.0 and low * vocab > 12.0:
+                # Every row's k is 1 and none takes the exact draw: the
+                # common round of a lightly depleted pool, kept cheap.
+                cand = _draw_prior(self.cum, pending.shape[0], rng)
+                fresh = ~self._removed(rows[pending], cand)
+                out[pending[fresh]] = cand[fresh]
+                pending = pending[~fresh]
+                continue
+            # The exact draw once k reaches V / 6: over 100 rows at V = 200,
+            # 1e3 and 1e5, the draw this picks was at most 2.2x slower than the
+            # other, and at most 1.3x at V = 1e3 and 1e5.
+            exact = depth * vocab <= 12.0
+            if exact.any():
+                out[pending[exact]] = self._draw_exact(rows[pending[exact]], rng)
+                pending, depth = pending[~exact], depth[~exact]
+            k = np.ceil(2.0 / depth).astype(np.int64)
+            hit = np.zeros(pending.shape[0], dtype=bool)
+            # Blocks bound the candidate cells; drawn in order, they use the
+            # stream as one draw would.
+            ends = np.cumsum(k)
+            lo = 0
+            while lo < pending.shape[0]:
+                hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - k[lo] + _BLOCK_CELLS, side="right")))
+                at = pending[lo:hi]
+                tokens, hit[lo:hi] = self._first_fresh(rows[at], k[lo:hi], rng)
+                out[at[hit[lo:hi]]] = tokens
+                lo = hi
+            pending = pending[~hit]
         return out
+
+    def _first_fresh(self, rows: np.ndarray, k: np.ndarray, rng: np.random.Generator):
+        """Draw ``k[i]`` prior candidates for row i; return the first one not
+        removed from each row that has one, and which rows have one."""
+        n = int(k.sum())
+        cand = _draw_prior(self.cum, n, rng)
+        fresh = ~self._removed(np.repeat(rows, k), cand)
+        first = np.minimum.reduceat(np.where(fresh, np.arange(n), n), np.cumsum(k) - k)
+        hit = first < n
+        return cand[first[hit]], hit
 
     def _removed(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         return (self.bits[rows, tokens >> 3] & _BIT[tokens & 7]) != 0
@@ -201,7 +240,7 @@ class _Removed:
         vocab = self.probs.shape[0]
         u = rng.random(rows.shape[0])
         out = np.empty(rows.shape[0], dtype=np.int64)
-        step = max(1, _EXACT_CELLS // vocab)
+        step = max(1, _BLOCK_CELLS // vocab)
         for lo in range(0, rows.shape[0], step):
             block = slice(lo, lo + step)
             c = np.cumsum(self._pool(rows[block]), axis=1)
@@ -236,7 +275,6 @@ def _cat_weighted(parts: list[BatchWeighted]) -> BatchWeighted:
         tokens=np.concatenate([p.tokens for p in parts]),
         zhats=np.concatenate([p.zhats for p in parts]),
         trials=np.concatenate([p.trials for p in parts]),
-        rejected_mass_first_loop=np.concatenate([p.rejected_mass_first_loop for p in parts]),
     )
 
 
@@ -329,13 +367,7 @@ def wrs_batch(
         loops_done[acc] += 1
         nrej[alive[~ok]] += 1
         alive = alive[~(ok & (loops_done[alive] == L + 1))]
-    zhats = L / (nrej + L)
-    return BatchWeighted(
-        tokens=tokens,
-        zhats=zhats,
-        trials=trials,
-        rejected_mass_first_loop=np.zeros(n),
-    )
+    return BatchWeighted(tokens=tokens, zhats=L / (nrej + L), trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +379,6 @@ def _awrs_chunk(prior, c, n, rng) -> BatchWeighted:
     tokens = np.full(n, -1, dtype=np.int64)
     trials = np.zeros(n, dtype=np.int64)
     nrej = np.zeros(n, dtype=np.int64)
-    psi0 = np.zeros(n)
     left0 = np.zeros(n)
     in_second = np.zeros(n, dtype=bool)
     alive = np.arange(n)
@@ -356,12 +387,11 @@ def _awrs_chunk(prior, c, n, rng) -> BatchWeighted:
         ok = c.evaluate_many(cand)
         trials[alive] += 1
         second = in_second[alive]
-        # First-loop acceptance: keep the token, snapshot the removed mass,
+        # First-loop acceptance: keep the token, snapshot the pool mass,
         # and continue into the confirmation loop (acceptances are replaced,
         # so the token stays in the pool).
         first_acc = alive[ok & ~second]
         tokens[first_acc] = cand[ok & ~second]
-        psi0[first_acc] = rem.mass[first_acc]
         left0[first_acc] = rem.left(first_acc)
         in_second[first_acc] = True
         # Rejections are unique: remove them for both loops.
@@ -369,8 +399,7 @@ def _awrs_chunk(prior, c, n, rng) -> BatchWeighted:
         rem.add(rej_rows, cand[~ok])
         nrej[rej_rows] += 1
         alive = alive[~(ok & second)]
-    zhats = left0 / (nrej + 1.0)
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials, rejected_mass_first_loop=psi0)
+    return BatchWeighted(tokens=tokens, zhats=left0 / (nrej + 1.0), trials=trials)
 
 
 def awrs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchWeighted:
@@ -405,7 +434,6 @@ def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
     trials = np.zeros(n, dtype=np.int64)
     nrej = np.zeros(n, dtype=np.int64)
     n1 = np.zeros(n, dtype=np.int64)
-    psi0 = np.zeros(n)
     left0 = np.zeros(n)
     zhats = np.zeros(n)
     phase = np.full(n, _PHASE_LOOP0, dtype=np.int8)
@@ -429,14 +457,12 @@ def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
         l0 = ph == _PHASE_LOOP0
         acc0 = alive[l0 & ok]
         tokens[acc0] = cand[l0 & ok]
-        psi0[acc0] = rem.mass[acc0]
         left0[acc0] = rem.left(acc0)
         phase[acc0] = _PHASE_SECOND
         rej0 = alive[l0 & ~ok]
         rem.add(rej0, cand[l0 & ~ok])
         nrej[rej0] += 1
         over0 = rej0[rem.mass[rej0] > theta0]
-        psi0[over0] = rem.mass[over0]
         left0[over0] = rem.left(over0)
         phase[over0] = _PHASE_PROBE
         # Rejecting every positive-mass token leaves no pool to probe
@@ -473,7 +499,7 @@ def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
         over1 = rem.mass[rows1] > theta1
         finish(rows1[over1], boosted[rej1][over1])
 
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials, rejected_mass_first_loop=psi0)
+    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
 
 
 def cawrs_batch(
@@ -564,7 +590,7 @@ def cwrs_batch(
     assert np.all(r <= R) and np.all(s <= L + 1)
     zhats = _cwrs_estimate(s, r, L, R)
     tokens = np.where(s > 0, first_tok, x1)
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials, rejected_mass_first_loop=np.zeros(n))
+    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +642,7 @@ def _gawrs_chunk(prior, c, n, rng, L, R) -> BatchWeighted:
     assert np.all(failed <= R) and np.all(s <= L + 1)
     zhats = _cwrs_estimate(s, np.minimum(r, R), L, R)
     tokens = np.where(s > 0, first_tok, x1)
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials, rejected_mass_first_loop=np.zeros(n))
+    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
 
 
 def gawrs_batch(
@@ -656,7 +682,6 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
     eta = np.full(n, rem.total)
     q_n = np.zeros(n)
     eta_n = np.ones(n)
-    psi_scan = np.zeros(n)
     nsteps = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=np.int64)
     phase = np.full(n, 0, dtype=np.int8)  # 0 scan, 1 probe, 2 done
@@ -690,7 +715,6 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
         phase[scanning[dead]] = 2
 
         rem.add(rej, cand[~ok])
-        psi_scan[rej] = rem.mass[rej]
         more = ~ok & ~dead
         keep = 1.0 - q_i[more]
         # A rejection that takes nearly all of the pool cancels in 1 - q;
@@ -725,7 +749,7 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
         zhats[probing] = np.where(ok, eta_n[probing], q_n[probing] * eta_n[probing])
 
     assert np.all(failed <= R)
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials, rejected_mass_first_loop=psi_scan)
+    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
 
 
 def rawrs_batch(

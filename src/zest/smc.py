@@ -8,14 +8,20 @@ local valid mass; multiplying those estimates into the particle weight
 keeps the ensemble unbiased for the global satisfaction probability g
 while sampling tokens exactly from the locally constrained posterior.
 
-The population is a list of prefixes with weight and active arrays. At
-every step the live particles are grouped by prefix: their next-token
-law and local constraint depend on the prefix alone, so each group costs
-one model call, one constraint derivation and one batch proposal call
-for all of its particles. The group of rank r in sorted-prefix order at
-step t draws from the counter-based stream (seed, 0, t, r), so results
-depend on the seed only, never on hash or iteration order. Resampling
-draws from the separate stream (seed, 1).
+The population is three arrays: an int node id per particle, its
+weight and an active flag. A node indexes a per-run table of prefix
+strings, and particles with equal prefixes share one node: a node is
+extended at one step only, once per distinct token, so no prefix is
+ever built twice. At every step the live particles are grouped by node
+with one stable sort: their next-token law and local constraint depend
+on the prefix alone, so each group costs one model call, one constraint
+derivation and one batch proposal call for all of its particles, and
+the particle work between those calls is array operations. Resampling
+copies node ids. The group of rank r in sorted-prefix order at step t
+draws from the counter-based stream (seed, 0, t, r), its rows in
+ascending order, so results depend on the seed only, never on hash,
+iteration or node order. Resampling draws from the separate stream
+(seed, 1).
 """
 
 from __future__ import annotations
@@ -64,22 +70,31 @@ DEFAULT_MAX_STEPS = 64
 
 @dataclass(slots=True)
 class Particle:
-    """One partial or complete string with its accumulated weight."""
+    """One particle's string and weight (zero unless it completed a string)."""
 
     prefix: str
     weight: float
-    active: bool
 
 
 @dataclass
 class Ensemble:
-    """A weighted population of strings and the estimates built from it."""
+    """A weighted population of strings and the estimates built from it.
 
-    particles: list[Particle]
+    ``prefixes[i]`` is particle i's string and ``weights[i]`` its weight;
+    a particle that did not complete a string has weight zero.
+    """
+
+    prefixes: list[str]
+    weights: np.ndarray
     g_hat: float
     posterior_estimate: dict[str, float]
     eval_counts: list[int] = field(default_factory=list)
     steps: int = 0
+
+    @property
+    def particles(self) -> list[Particle]:
+        """The population as Particle records, built on each read."""
+        return [Particle(s, w) for s, w in zip(self.prefixes, self.weights.tolist())]
 
     @property
     def eval_count(self) -> int:
@@ -180,18 +195,20 @@ def _twist(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Genera
     return tokens, c.evaluate_many(tokens).astype(np.float64)
 
 
-def _finalize(particles: list[Particle], eval_counts: list[int], steps: int) -> Ensemble:
-    weights = [p.weight for p in particles]
-    total = math.fsum(weights)
-    g_hat = total / len(particles)
+def _finalize(
+    strings: list[str], node: np.ndarray, weights: np.ndarray, eval_counts: list[int], steps: int
+) -> Ensemble:
+    """The ensemble of particles ``strings[node[i]]`` with ``weights[i]``."""
+    total = math.fsum(weights.tolist())
     post: dict[str, float] = {}
     if total > 0:
-        for p in particles:
-            if p.weight > 0 and not p.active:
-                post[p.prefix] = post.get(p.prefix, 0.0) + p.weight / total
+        # bincount adds each node's terms in row order, as a running sum would.
+        sums = np.bincount(node, weights / total, minlength=len(strings))
+        post = {strings[k]: float(sums[k]) for k in np.flatnonzero(sums > 0).tolist()}
     return Ensemble(
-        particles=particles,
-        g_hat=g_hat,
+        prefixes=[strings[k] for k in node.tolist()],
+        weights=weights,
+        g_hat=total / node.shape[0],
         posterior_estimate=dict(sorted(post.items())),
         eval_counts=eval_counts,
         steps=steps,
@@ -214,7 +231,9 @@ def _run_smc(
         raise ValueError("tau must lie in [0, 1]")
     resampler = _RESAMPLERS[resample]
     n = n_particles
-    prefixes = [""] * n
+    # Particle i holds the prefix strings[node[i]].
+    strings = [""]
+    node = np.zeros(n, dtype=np.int64)
     weights = np.full(n, 1.0 if family.is_valid_prefix("") else 0.0)
     active = np.ones(n, dtype=bool)
     resample_rng = make_rng(seed, 1)
@@ -227,11 +246,14 @@ def _run_smc(
         if not active.any():
             break
         before = family.counter.count
-        groups: dict[str, list[int]] = {}
-        for i in np.flatnonzero(active).tolist():
-            groups.setdefault(prefixes[i], []).append(i)
-        for rank, prefix in enumerate(sorted(groups)):
-            rows = np.array(groups[prefix])
+        live = np.flatnonzero(active)
+        # A stable sort by node groups the live rows, each group ascending.
+        by_node = live[np.argsort(node[live], kind="stable")]
+        keys = node[by_node]
+        groups = np.split(by_node, np.flatnonzero(keys[1:] != keys[:-1]) + 1)
+        groups.sort(key=lambda rows: strings[node[rows[0]]])
+        for rank, rows in enumerate(groups):
+            prefix = strings[node[rows[0]]]
             prior = lm.next_dist(prefix)
             c = family.constraint_at(prefix)
             try:
@@ -244,10 +266,16 @@ def _run_smc(
             tokens = np.asarray(tokens)
             ended = tokens == lm.eos
             active[rows[ended]] = False
-            grown = tokens[~ended].tolist()
-            children = {t: prefix + lm.alphabet[t] for t in set(grown)}
-            for i, t in zip(rows[~ended].tolist(), grown):
-                prefixes[i] = children[t]
+            # One child node per distinct token, numbered in token order through
+            # a token table: on a1_pwp, np.unique here cost 5% of draws_per_s.
+            # The table is O(V), as the group's next-token row already is.
+            grown = tokens[~ended]
+            child = np.zeros(prior.vocab_size, dtype=np.int64)
+            child[grown] = 1
+            distinct = np.flatnonzero(child)
+            child[distinct] = np.arange(len(strings), len(strings) + distinct.shape[0])
+            node[rows[~ended]] = child[grown]
+            strings.extend(prefix + lm.alphabet[t] for t in distinct.tolist())
         steps += 1
         eval_counts.append(family.counter.count - before)
 
@@ -257,7 +285,7 @@ def _run_smc(
         # Strict inequality: ties at tau * N do not trigger a resample.
         if ess(weights) < tau * n:
             idx = resampler(weights, resample_rng)
-            prefixes = [prefixes[i] for i in idx.tolist()]
+            node = node[idx]
             active = active[idx]
             weights = np.full(n, total / n)
 
@@ -265,8 +293,7 @@ def _run_smc(
     weights[active] = 0.0
     if float(weights.sum()) <= 0.0:
         raise AllDead("no particle completed a string within the step limit")
-    particles = [Particle(s, w, False) for s, w in zip(prefixes, weights.tolist())]
-    return _finalize(particles, eval_counts, steps)
+    return _finalize(strings, node, weights, eval_counts, steps)
 
 
 def smc_twist(
@@ -326,7 +353,8 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
     if n < 1:
         raise ValueError("need at least one rollout")
     eval_before = family.counter.count
-    particles = []
+    index: dict[str, int] = {}
+    node, weights = [], []
     for i in range(n):
         rng = make_rng(seed, 0, i)
         prefix, w = "", 1.0
@@ -337,8 +365,10 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
             if token == lm.eos:
                 break
             prefix += lm.alphabet[token]
-        particles.append(Particle(prefix=prefix, weight=w, active=False))
-    return _finalize(particles, [family.counter.count - eval_before], steps=1)
+        node.append(index.setdefault(prefix, len(index)))
+        weights.append(w)
+    eval_counts = [family.counter.count - eval_before]
+    return _finalize(list(index), np.array(node), np.array(weights), eval_counts, steps=1)
 
 
 def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:
@@ -350,7 +380,8 @@ def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:
     if n < 1:
         raise ValueError("need at least one rollout")
     check = verifier if callable(verifier) else lambda s: s in verifier
-    particles = []
+    index: dict[str, int] = {}
+    node, weights = [], []
     for i in range(n):
         rng = make_rng(seed, 0, i)
         prefix = ""
@@ -359,10 +390,11 @@ def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:
             if token == lm.eos:
                 break
             prefix += lm.alphabet[token]
-        particles.append(Particle(prefix=prefix, weight=1.0 if check(prefix) else 0.0, active=False))
-    if not any(p.weight > 0 for p in particles):
+        node.append(index.setdefault(prefix, len(index)))
+        weights.append(1.0 if check(prefix) else 0.0)
+    if not any(weights):
         raise AllDead(f"none of {n} rollouts satisfied the constraint")
-    return _finalize(particles, [], steps=1)
+    return _finalize(list(index), np.array(node), np.array(weights), [], steps=1)
 
 
 def lcd_generate(

@@ -132,6 +132,11 @@ class ToyLM:
 
     @classmethod
     def from_json(cls, source) -> "ToyLM":
+        """Build from a JSON file path, JSON text, or an already-parsed dict.
+
+        A missing key raises ValueError, as does malformed JSON text or a
+        table row that is not a distribution of the right width.
+        """
         if isinstance(source, dict):
             doc = source
         else:
@@ -141,11 +146,17 @@ class ToyLM:
             else:
                 with open(source, encoding="utf-8") as fh:
                     doc = json.load(fh)
+        try:
+            alphabet, order, max_len, tables = (doc[key] for key in ("alphabet", "k", "max_len", "tables"))
+        except KeyError as e:
+            raise ValueError(f"model JSON lacks the key {e.args[0]!r}") from None
+        if not isinstance(tables, dict):
+            raise TypeError("model JSON 'tables' must map contexts to rows")
         return cls(
-            alphabet=tuple(doc["alphabet"]),
-            order=int(doc["k"]),
-            max_len=int(doc["max_len"]),
-            tables={ctx: np.asarray(row, dtype=np.float64) for ctx, row in doc["tables"].items()},
+            alphabet=tuple(alphabet),
+            order=int(order),
+            max_len=int(max_len),
+            tables={ctx: np.asarray(row, dtype=np.float64) for ctx, row in tables.items()},
         )
 
 

@@ -249,6 +249,22 @@ class TestExitCodes:
         result = runner.invoke(main, ["generate", "--method", "is", *args])
         assert result.exit_code == 2, result.output
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"alphabet": ["a"]}',
+            "{not json",
+            json.dumps({"alphabet": ["a"], "k": 0, "max_len": 2, "tables": {"": [0.5, 0.25, 0.25]}}),
+        ],
+        ids=["missing-key", "bad-json", "wrong-width-row"],
+    )
+    def test_malformed_model_is_two(self, runner, tmp_path, text):
+        model = tmp_path / "model.json"
+        model.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["generate", "--model", str(model), "--language", "{a}", "--method", "is"])
+        assert result.exit_code == 2, result.output
+        assert "malformed model" in result.output
+
     def test_inference_failure_is_three(self, runner):
         # A language the model cannot produce: every rollout fails.
         result = runner.invoke(

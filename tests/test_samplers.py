@@ -154,15 +154,17 @@ class TestAdaptiveWeighted:
         out = awrs_batch(normalize([2, 3]), c_of([1, 1]), 400, make_rng(14))
         np.testing.assert_allclose(out.zhats, 1.0)
         assert np.all(out.trials == 2)
-        np.testing.assert_allclose(out.rejected_mass_first_loop, 0.0)
 
     def test_single_rejection_trace_weight(self):
-        # A first-loop rejection of mass 0.3 followed by clean acceptances
-        # yields zhat = (1 - 0.3) / (1 + 1) = 0.35.
+        # One rejection of mass 0.3 among three trials: in the first loop
+        # it yields zhat = (1 - 0.3) / (1 + 1) = 0.35, in the second loop
+        # (1 - 0) / (1 + 1) = 0.5.
         out = awrs_batch(Categorical(np.array([0.7, 0.3])), c_of([1, 0]), 4000, make_rng(15))
-        rejected_once = np.isclose(out.rejected_mass_first_loop, 0.3) & (out.trials == 3)
-        assert rejected_once.any()
-        np.testing.assert_allclose(out.zhats[rejected_once], 0.35)
+        rejected_once = out.trials == 3
+        zhats = out.zhats[rejected_once]
+        first, second = np.isclose(zhats, 0.35), np.isclose(zhats, 0.5)
+        assert np.all(first | second)
+        assert first.any() and second.any()
 
     def test_enumeration_oracle_unbiased(self):
         traces = en.enumerate_awrs(P3.tolist(), V3_LAST.tolist())
@@ -557,8 +559,8 @@ class TestPackedPool:
         # its uniforms before splitting the rows into blocks.
         prior, valid = byte_edge_instance(17)
         runs = []
-        for cells in (samplers._EXACT_CELLS, 3 * 17):
-            monkeypatch.setattr(samplers, "_EXACT_CELLS", cells)
+        for cells in (samplers._BLOCK_CELLS, 3 * 17):
+            monkeypatch.setattr(samplers, "_BLOCK_CELLS", cells)
             runs.append(awrs_batch(prior, c_of(valid), 2000, make_rng(63)))
         for field in ("tokens", "zhats", "trials"):
             np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
@@ -576,6 +578,103 @@ class TestPackedPool:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def peaked_instance(vocab):
+    """A top token of mass 0.9 that is invalid; the other tokens share 0.1
+    in proportion to their id, and every 7th of them is valid."""
+    probs = np.arange(vocab, dtype=float)
+    probs *= 0.1 / probs.sum()
+    probs[0] = 0.9
+    valid = np.zeros(vocab, dtype=bool)
+    valid[1::7] = True
+    return Categorical(probs / probs.sum()), valid
+
+
+def binned_tv(tokens, post, bins=10):
+    """TV between draw frequencies and ``post`` over contiguous id ranges."""
+    edges = np.linspace(0, post.shape[0], bins + 1).astype(int)
+    emp = np.bincount(tokens, minlength=post.shape[0]) / tokens.shape[0]
+    return 0.5 * float(np.abs(np.add.reduceat(emp - post, edges[:-1])).sum())
+
+
+class TestDepletedPool:
+    """Rows whose removed tokens carry most of the prior redraw in batches."""
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            (Categorical(np.array([0.01, 0.99, 0.0])), np.array([True, False, False])),
+            peaked_instance(1000),
+            peaked_instance(10**5),
+        ],
+        ids=["a1-step-a", "peaked-v1e3", "peaked-v1e5"],
+    )
+    def test_exact_tokens_and_unbiased_zhat(self, instance):
+        prior, valid = instance
+        exact = token_mask(prior, c_of(valid))
+        n = 20_000
+        ars = ars_batch(prior, c_of(valid), n, make_rng(64))
+        awrs = awrs_batch(prior, c_of(valid), n, make_rng(65))
+        for out in (ars, awrs):
+            assert np.all(valid[out.tokens])
+            assert binned_tv(out.tokens, exact.post.probs) < 0.02
+        assert abs(awrs.zhats.mean() - exact.z) <= 4 * awrs.zhats.std() / np.sqrt(n)
+
+    def test_small_vocab_token_frequencies(self):
+        # At V = 1000 every token's frequency is checked, not only bins.
+        prior, valid = peaked_instance(1000)
+        exact = token_mask(prior, c_of(valid))
+        out = ars_batch(prior, c_of(valid), 200_000, make_rng(66))
+        emp = np.bincount(out.tokens, minlength=1000) / out.tokens.shape[0]
+        assert 0.5 * np.abs(emp - exact.post.probs).sum() < 0.02
+
+    @pytest.mark.parametrize("batch", [ars_batch, awrs_batch], ids=["ars", "awrs"])
+    def test_no_exact_draw_at_large_vocab(self, batch, monkeypatch):
+        # A pool that keeps 1/10 of the prior is redrawn in batches of about
+        # 19 candidates; the O(V) exact draw is for pools a batch cannot reach.
+        def refuse(self, rows, rng):
+            raise AssertionError("exact O(V) draw")
+
+        monkeypatch.setattr(samplers._Removed, "_draw_exact", refuse)
+        prior, valid = peaked_instance(10**5)
+        out = batch(prior, c_of(valid), 1000, make_rng(67))
+        assert np.all(valid[out.tokens])
+
+    def test_mixed_depths_size_each_row(self, monkeypatch):
+        # One row keeps 1e-3 of the prior (k = 2000) and 2000 rows keep 1/2
+        # (k = 3): each row draws its own k, not the deepest row's.
+        vocab = 10**5
+        probs = np.full(vocab, 1e-3 / (vocab - 2))
+        probs[:2] = [0.5, 0.499]
+        prior = Categorical(probs)
+        rem = samplers._Removed(2001, prior.probs, prior.cumulative())
+        rem.add(np.arange(2001), np.zeros(2001, dtype=np.int64))
+        rem.add(np.array([0]), np.array([1]))
+        drawn = []
+        draw_prior = samplers._draw_prior
+
+        def counted(cum, n, rng):
+            drawn.append(n)
+            return draw_prior(cum, n, rng)
+
+        monkeypatch.setattr(samplers, "_draw_prior", counted)
+        out = rem.draw(np.arange(2001), make_rng(68))
+        assert out[0] >= 2 and np.all(out[1:] != 0)
+        assert sum(drawn) < 20_000
+        # A shallow row keeps token 1 with chance 0.998.
+        assert np.mean(out[1:] == 1) > 0.99
+
+    def test_redraw_block_size_changes_nothing(self, monkeypatch):
+        # Depleted rows need k = 19 candidates each; blocks of 7 cells hold
+        # one row at a time, and the stream is read in the same order.
+        prior, valid = peaked_instance(1000)
+        runs = []
+        for cells in (samplers._BLOCK_CELLS, 7):
+            monkeypatch.setattr(samplers, "_BLOCK_CELLS", cells)
+            runs.append(awrs_batch(prior, c_of(valid), 500, make_rng(69)))
+        for field in ("tokens", "zhats", "trials"):
+            np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
 
 
 class TestNucleusTruncation:

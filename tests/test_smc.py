@@ -272,6 +272,36 @@ class TestGroupedEngine:
         assert ens.posterior_estimate["ba"] == pytest.approx(1.0)
 
 
+class TestEnsembleArrays:
+    """The population arrays, the Particle view and the estimates agree."""
+
+    ENGINES = {
+        "smc_pwp": lambda lm, lang: smc_pwp(lm, lang, "awrs", 300, tau=0.5, seed=80),
+        "smc_pwp_cutoff": lambda lm, lang: smc_pwp(lm, lang, "awrs", 300, tau=0.5, seed=81, max_steps=2),
+        "smc_twist": lambda lm, lang: smc_twist(lm, lang, 300, tau=0.5, seed=82),
+        "importance_sample": lambda lm, lang: importance_sample(lm, lang, 300, seed=83),
+        "sample_verify": lambda lm, lang: sample_verify(lm, lang, 300, seed=84),
+    }
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_arrays_view_and_estimates(self, engine):
+        lm = random_lm(5, 3, k=1, max_len=4)
+        lang = TrieLanguage(["a", "b", "ab", "ba", "bca", "cc", "acb"], alphabet=lm.alphabet)
+        ens = self.ENGINES[engine](lm, lang)
+        assert len(ens.prefixes) == ens.weights.shape[0] == 300
+        assert [(p.prefix, p.weight) for p in ens.particles] == list(zip(ens.prefixes, ens.weights.tolist()))
+        assert ens.g_hat == pytest.approx(float(ens.weights.mean()), rel=1e-12)
+        sums: dict = {}
+        for s, w in zip(ens.prefixes, ens.weights.tolist()):
+            if w > 0:
+                sums[s] = sums.get(s, 0.0) + w
+        total = sum(sums.values())
+        assert list(ens.posterior_estimate) == sorted(sums)
+        for s, w in sums.items():
+            assert ens.posterior_estimate[s] == pytest.approx(w / total, rel=1e-12)
+        assert all(s in lang for s in ens.posterior_estimate)
+
+
 class TestImportanceSampling:
     def test_weights_on_reversal_fixture(self, lm, lang):
         ens = importance_sample(lm, lang, n=4000, seed=11)
