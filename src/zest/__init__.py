@@ -30,7 +30,7 @@ from .samplers import (
     top_p_compose,
     wrs_batch,
 )
-from .smc import Ensemble, Particle, ess, importance_sample, lcd_generate, sample_verify, smc_pwp, smc_twist
+from .smc import Ensemble, Particle, ess, importance_sample, lcd_sample, sample_verify, smc_pwp, smc_twist
 from .toylm import ToyLM, example_a1, random_lm
 
 __version__ = "0.1.0"

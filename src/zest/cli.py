@@ -20,7 +20,6 @@ from . import simharness, smc
 from .constraints import DfaPattern, TrieLanguage
 from .dist import Categorical
 from .errors import ZestError
-from .rng import make_rng
 from .samplers import SamplerConfig, top_p_compose
 from .toylm import BUILTIN_MODELS, ToyLM, builtin_model
 
@@ -185,55 +184,38 @@ def generate(ctx, config, **values):
 
     t0 = time.perf_counter()
     try:
-        result = _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, seed)
+        ens = _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, seed)
     except ZestError as e:
         _emit({"error": {"type": type(e).__name__, "message": str(e)}, "method": method, "seed": seed}, out)
         sys.exit(3)
-    result.update(
-        method=method,
-        n=n,
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
+    _emit(
+        {
+            "g_hat": ens.g_hat,
+            "posterior_estimate": ens.posterior_estimate,
+            "eval_counts": ens.eval_counts,
+            "steps": ens.steps,
+            "method": method,
+            "n": n,
+            "seed": seed,
+            "wall_time": time.perf_counter() - t0,
+        },
+        out,
     )
-    _emit(result, out)
 
 
-def _rollout_freqs(strings: list[str]) -> dict[str, float]:
-    freqs: dict[str, float] = {}
-    for s in strings:
-        freqs[s] = freqs.get(s, 0.0) + 1.0 / len(strings)
-    return dict(sorted(freqs.items()))
-
-
-def _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, seed) -> dict:
+def _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, seed) -> smc.Ensemble:
     if method == "lm":
-        ens = smc.sample_verify(lm, lambda s: True, n, seed=seed)
-        return {"g_hat": ens.g_hat, "posterior_estimate": ens.posterior_estimate, "eval_counts": []}
-
+        return smc.sample_verify(lm, lambda s: True, n, seed=seed)
     if method in ("lcd-mask", "lcd-ars"):
-        before = family.counter.count
-        kind = "ars" if method == "lcd-ars" else "mask"
-        strings = [smc.lcd_generate(lm, family, make_rng(seed, 0, i), sampler=kind) for i in range(n)]
-        return {
-            "g_hat": 1.0,
-            "posterior_estimate": _rollout_freqs(strings),
-            "eval_counts": [family.counter.count - before],
-        }
-
+        return smc.lcd_sample(lm, family, n, seed=seed, sampler=method[len("lcd-"):])
     if method == "sample-verify":
-        ens = smc.sample_verify(lm, family, n, seed=seed)
-        return _ensemble_payload(ens)
-
+        return smc.sample_verify(lm, family, n, seed=seed)
     if method == "is":
-        ens = smc.importance_sample(lm, family, n, seed=seed)
-        return _ensemble_payload(ens)
-
+        return smc.importance_sample(lm, family, n, seed=seed)
     if method == "smc-twist":
-        ens = smc.smc_twist(lm, family, n, tau=tau, seed=seed, max_steps=max_steps, resample=resample)
-        return _ensemble_payload(ens)
-
+        return smc.smc_twist(lm, family, n, tau=tau, seed=seed, max_steps=max_steps, resample=resample)
     if method == "smc-awrs":
-        ens = smc.smc_pwp(
+        return smc.smc_pwp(
             lm,
             family,
             proposal=sampler,
@@ -247,18 +229,7 @@ def _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, 
             theta1=config.theta1,
             budget=config.budget,
         )
-        return _ensemble_payload(ens)
-
     raise AssertionError(f"unhandled method {method}")
-
-
-def _ensemble_payload(ens: smc.Ensemble) -> dict:
-    return {
-        "g_hat": ens.g_hat,
-        "posterior_estimate": ens.posterior_estimate,
-        "eval_counts": ens.eval_counts,
-        "steps": ens.steps,
-    }
 
 
 @main.group()

@@ -10,9 +10,11 @@ sequential Monte Carlo.
 All samplers are Las Vegas algorithms: output distributions are exact
 (for the unclipped variants), runtimes are random. Each sampler is one
 ``*_batch`` kernel vectorized across independent runs; a single draw is
-a batch of one. When no token is valid (z = 0) the exact adaptive
-samplers raise NoValidToken, while the clipped and budgeted ones return
-dead rows (``zhat = 0``) within their call caps.
+a batch of one. When no token is valid (z = 0) the exact samplers raise
+NoValidToken: the adaptive ones when a run's pool runs out, ``rs`` and
+``wrs`` when a check of the prior's support at their V-th round (V the
+vocabulary size) finds no valid token. The clipped and budgeted ones
+return dead rows (``zhat = 0``) within their call caps.
 
 The without-replacement kernels keep each run's removed tokens as a
 packed bit row (V / 8 bytes) and its removed mass in a compensated (Kahan)
@@ -282,22 +284,38 @@ def _cat_weighted(parts: list[BatchWeighted]) -> BatchWeighted:
 # Simple rejection sampling (with replacement)
 
 
+def _check_support(prior: Categorical, c: TokenConstraint, rounds: int):
+    """Raise NoValidToken at the V-th round of a call if no supported token is valid.
+
+    A with-replacement loop has no pool that runs out at z = 0, so this
+    is its only exit then. It fires once per call, draws no random
+    numbers, and its evaluations count on the constraint's counter but
+    on no run's ``trials``; a call that ends within V rounds skips it.
+    """
+    if rounds == prior.vocab_size and not c.evaluate_many(prior.support()).any():
+        raise NoValidToken("no token with prior mass is valid (z = 0)")
+
+
 def rs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchTokens:
     """Draw from the prior until the constraint accepts, per run.
 
-    Requires z > 0; there is deliberately no iteration cap (bounding cost
-    is the job of the budgeted variants).
+    There is deliberately no iteration cap (bounding cost is the job of
+    the budgeted variants); at z = 0 it raises NoValidToken after V rounds.
     """
     cum = prior.cumulative()
     tokens = np.full(n, -1, dtype=np.int64)
     trials = np.zeros(n, dtype=np.int64)
     alive = np.arange(n)
+    rounds = 0
     while alive.size:
         cand = _draw_prior(cum, alive.size, rng)
         ok = c.evaluate_many(cand)
         trials[alive] += 1
         tokens[alive[ok]] = cand[ok]
         alive = alive[~ok]
+        rounds += 1
+        if alive.size:
+            _check_support(prior, c, rounds)
     return BatchTokens(tokens=tokens, trials=trials)
 
 
@@ -345,7 +363,7 @@ def wrs_batch(
     The accepted token of the first loop is returned. With ``nrej`` total
     rejections across the loops, ``zhat = L / (nrej + L)``, the minimum-
     variance unbiased estimator of z for the induced negative-binomial
-    trial count.
+    trial count. At z = 0 it raises NoValidToken after V rounds.
     """
     L = int(extra_loops)
     if L < 1:
@@ -356,6 +374,7 @@ def wrs_batch(
     nrej = np.zeros(n, dtype=np.int64)
     loops_done = np.zeros(n, dtype=np.int64)
     alive = np.arange(n)
+    rounds = 0
     while alive.size:
         cand = _draw_prior(cum, alive.size, rng)
         ok = c.evaluate_many(cand)
@@ -367,6 +386,9 @@ def wrs_batch(
         loops_done[acc] += 1
         nrej[alive[~ok]] += 1
         alive = alive[~(ok & (loops_done[alive] == L + 1))]
+        rounds += 1
+        if alive.size:
+            _check_support(prior, c, rounds)
     return BatchWeighted(tokens=tokens, zhats=L / (nrej + L), trials=trials)
 
 

@@ -7,6 +7,12 @@ weighted rejection sampler whose weight is an unbiased estimate of the
 local valid mass; multiplying those estimates into the particle weight
 keeps the ensemble unbiased for the global satisfaction probability g
 while sampling tokens exactly from the locally constrained posterior.
+Two baselines run on the same loop with tau = 0: locally constrained
+decoding (``lcd_sample``) proposes exact local-posterior tokens with
+weight 1, and ``sample_verify`` proposes raw model tokens with weight 1
+and applies its whole-string check once the rollouts finish. Both cap
+the steps at ``lm.max_len + 1``: a ToyLM forces end-of-string at
+``max_len``, so no rollout is cut short.
 
 The population is three arrays: an int node id per particle, its
 weight and an active flag. A node indexes a per-run table of prefix
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import TokenConstraint
+from .constraints import DfaPattern, TokenConstraint
 from .dist import Categorical, sample, sample_many
 from .errors import AllDead, DeadPrefix, NoValidToken
 from .oracle import token_mask
@@ -61,7 +67,7 @@ __all__ = [
     "smc_pwp",
     "importance_sample",
     "sample_verify",
-    "lcd_generate",
+    "lcd_sample",
     "DEFAULT_MAX_STEPS",
 ]
 
@@ -195,6 +201,10 @@ def _twist(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Genera
     return tokens, c.evaluate_many(tokens).astype(np.float64)
 
 
+def _prior(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator):
+    return sample_many(prior, n, rng), np.ones(n)
+
+
 def _finalize(
     strings: list[str], node: np.ndarray, weights: np.ndarray, eval_counts: list[int], steps: int
 ) -> Ensemble:
@@ -224,7 +234,13 @@ def _run_smc(
     seed: int,
     max_steps: int,
     resample: str,
+    accept: Callable[[str], bool] | None = None,
 ) -> Ensemble:
+    """Grow ``n_particles`` rollouts from the empty prefix, ``proposal`` extending each.
+
+    ``accept``, when given, is a whole-string check applied once per
+    distinct finished string; a rejected string's particles get weight zero.
+    """
     if n_particles < 1:
         raise ValueError("need at least one particle")
     if not (0.0 <= tau <= 1.0):
@@ -291,8 +307,13 @@ def _run_smc(
 
     # Particles still active ran into the step cutoff without end-of-string.
     weights[active] = 0.0
+    if accept is not None:
+        done = np.unique(node[weights > 0.0]).tolist()
+        kept = np.zeros(len(strings), dtype=bool)
+        kept[done] = [accept(strings[k]) for k in done]
+        weights[~kept[node]] = 0.0
     if float(weights.sum()) <= 0.0:
-        raise AllDead("no particle completed a string within the step limit")
+        raise AllDead("no particle completed an accepted string within the step limit")
     return _finalize(strings, node, weights, eval_counts, steps)
 
 
@@ -375,54 +396,36 @@ def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:
     """Unconstrained rollouts kept or discarded by a whole-string check.
 
     ``verifier`` is a callable str -> bool (a TrieLanguage works via its
-    membership test). Raises AllDead if every rollout fails.
+    membership test), applied once per distinct finished string. Raises
+    AllDead if every rollout fails.
     """
-    if n < 1:
-        raise ValueError("need at least one rollout")
     check = verifier if callable(verifier) else lambda s: s in verifier
-    index: dict[str, int] = {}
-    node, weights = [], []
-    for i in range(n):
-        rng = make_rng(seed, 0, i)
-        prefix = ""
-        while True:
-            token = sample(lm.next_dist(prefix), rng)
-            if token == lm.eos:
-                break
-            prefix += lm.alphabet[token]
-        node.append(index.setdefault(prefix, len(index)))
-        weights.append(1.0 if check(prefix) else 0.0)
-    if not any(weights):
-        raise AllDead(f"none of {n} rollouts satisfied the constraint")
-    return _finalize(list(index), np.array(node), np.array(weights), [], steps=1)
+    anything = DfaPattern(["q"], lm.alphabet, {"q": {ch: "q" for ch in lm.alphabet}}, ["q"])
+    return _run_smc(lm, anything, _prior, n, 0.0, seed, lm.max_len + 1, "multinomial", accept=check)
 
 
-def lcd_generate(
-    lm: ToyLM,
-    family,
-    rng: np.random.Generator,
-    sampler: str = "ars",
-) -> str:
-    """One unweighted rollout from the locally constrained distribution.
+def lcd_sample(lm: ToyLM, family, n: int, seed: int = 0, sampler: str = "ars") -> Ensemble:
+    """Unweighted rollouts from the locally constrained distribution.
 
     ``sampler`` picks how each step draws from the local posterior:
     ``ars`` (adaptive rejection sampling, few constraint calls) or
     ``mask`` (full token masking). Both sample the identical distribution.
-    Raises DeadPrefix if a step has no valid token.
+    Every rollout has weight 1, so the posterior estimate is the rollout
+    frequencies. Raises DeadPrefix if a step has no valid token.
     """
     if sampler not in ("ars", "mask"):
         raise ValueError("sampler must be 'ars' or 'mask'")
-    prefix = ""
-    while True:
-        prior = lm.next_dist(prefix)
-        c = family.constraint_at(prefix)
+    if not family.is_valid_prefix(""):
+        raise DeadPrefix("the empty prefix has no valid continuation")
+
+    def propose(prior, c, m, rng):
         try:
             if sampler == "ars":
-                token = int(ars_batch(prior, c, 1, rng).tokens[0])
+                tokens = ars_batch(prior, c, m, rng).tokens
             else:
-                token = sample(token_mask(prior, c).post, rng)
+                tokens = sample_many(token_mask(prior, c).post, m, rng)
         except NoValidToken as e:
-            raise DeadPrefix(f"no valid continuation of {prefix!r}") from e
-        if token == lm.eos:
-            return prefix
-        prefix += lm.alphabet[token]
+            raise DeadPrefix("a sampled prefix has no valid continuation") from e
+        return tokens, np.ones(m)
+
+    return _run_smc(lm, family, propose, n, 0.0, seed, lm.max_len + 1, "multinomial")

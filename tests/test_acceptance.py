@@ -20,7 +20,7 @@ from zest.constraints import TrieLanguage, mask_constraint
 from zest.oracle import global_posterior
 from zest.rng import make_rng
 from zest.simharness import bias_experiment, placed_mass_instance, random_instance, runtime_heatmap
-from zest.smc import lcd_generate, smc_pwp
+from zest.smc import lcd_sample, smc_pwp
 from zest.toylm import example_a1, random_lm
 
 SEED = 0
@@ -160,9 +160,8 @@ def test_criterion_5_end_to_end_bias_correction(capsys):
     ens = smc_pwp(lm, lang, proposal="awrs", n_particles=10**5, tau=0.5, seed=SEED)
     post = ens.posterior_estimate
     n_roll = 10**4
-    first_a = sum(
-        lcd_generate(lm, lang, make_rng(SEED, 8, i))[0] == "a" for i in range(n_roll)
-    ) / n_roll
+    rollouts = lcd_sample(lm, lang, n_roll, seed=SEED + 8).posterior_estimate
+    first_a = sum(p for s, p in rollouts.items() if s[0] == "a")
     d_aa = abs(post.get("aa", 0.0) - 0.083333)
     d_ba = abs(post.get("ba", 0.0) - 0.916667)
     d_roll = abs(first_a - 0.9)

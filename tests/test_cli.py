@@ -67,6 +67,22 @@ class TestGenerate:
         )
         assert tv < 0.05
 
+    @pytest.mark.parametrize("method", ["lm", "sample-verify", "lcd-ars", "lcd-mask"])
+    def test_rollouts_reach_the_model_length(self, runner, tmp_path, method):
+        # End-of-string has no mass before max_len = 70, past the default --max-steps of 64:
+        # these methods run to the model's own length cap.
+        model = tmp_path / "m.json"
+        doc = {"alphabet": ["a"], "k": 0, "max_len": 70, "tables": {"": [1.0, 0.0]}}
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = run_json(
+            runner,
+            ["generate", "--model", str(model), "--language", "{" + "a" * 70 + "}", "--method", method,
+             "--n", "50", "--seed", "1"],
+        )
+        assert out["posterior_estimate"] == {"a" * 70: pytest.approx(1.0)}
+        assert out["g_hat"] == 1.0
+        assert out["steps"] == 71
+
     def test_twist_method(self, runner):
         out = run_json(
             runner,
@@ -264,6 +280,18 @@ class TestExitCodes:
         result = runner.invoke(main, ["generate", "--model", str(model), "--language", "{a}", "--method", "is"])
         assert result.exit_code == 2, result.output
         assert "malformed model" in result.output
+
+    @pytest.mark.parametrize(
+        "method, error",
+        [(["smc-awrs", "--sampler", "wrs"], "AllDead"), (["lcd-ars"], "DeadPrefix"), (["lcd-mask"], "DeadPrefix")],
+        ids=["wrs", "lcd-ars", "lcd-mask"],
+    )
+    def test_zero_mass_prefix_is_three(self, runner, method, error):
+        # After "a" the model gives end-of-string, the one valid token, no mass.
+        # The with-replacement sampler must give up there instead of looping forever.
+        result = runner.invoke(main, ["generate", "--language", "{a}", "--method", *method, "--n", "10"])
+        assert result.exit_code == 3
+        assert json.loads(result.output)["error"]["type"] == error
 
     def test_inference_failure_is_three(self, runner):
         # A language the model cannot produce: every rollout fails.

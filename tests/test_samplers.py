@@ -477,10 +477,21 @@ class TestZeroValidMass:
         assert np.all(out.zhats == 0.0)
         assert np.all(out.trials <= 4 + 2)
 
-    @pytest.mark.parametrize("batch", [ars_batch, awrs_batch], ids=["ars", "awrs"])
+    @pytest.mark.parametrize(
+        "batch", [ars_batch, awrs_batch, rs_batch, wrs_batch], ids=["ars", "awrs", "rs", "wrs"]
+    )
     def test_exact_kernels_raise(self, batch):
         with pytest.raises(NoValidToken):
             batch(Categorical(Z0_PRIOR), c_of(Z0_VALID), 64, make_rng(52))
+
+    @pytest.mark.parametrize("batch", [rs_batch, wrs_batch], ids=["rs", "wrs"])
+    def test_support_check_counts_calls_not_trials(self, batch):
+        # At z = 1e-3 and V = 2 the call outlives its second round, so it
+        # evaluates the 2-token support once, beside the rows' own trials.
+        c = c_of([False, True])
+        out = batch(Categorical(np.array([0.999, 0.001])), c, 50, make_rng(53))
+        assert np.all(out.tokens == 1)
+        assert c.eval_count == int(out.trials.sum()) + 2
 
 
 # Valid mass far below the rounding error of 1, down to a denormal; the

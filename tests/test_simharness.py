@@ -51,18 +51,12 @@ class TestBiasExperiment:
         assert errs and all(e == 0.0 for e in errs)
 
     def test_error_shrinks_with_samples(self):
-        # Majority of instances improve from N=100 to N=10000; the
-        # per-instance flip probability makes a unanimous bound unsound.
+        # The 1/sqrt(N) rate predicts the error across instances to fall
+        # tenfold from N=100 to N=10000; a threefold fall leaves room for noise.
         res = bias_experiment(vocab=50, n_instances=30, n_grid=[100, 10000], seed=3)
-        improved = 0
-        for i in range(30):
-            errs = {
-                r["N"]: r["value"]
-                for r in res.rows
-                if r["metric"] == "abs_err" and r["instance_id"] == i and r["sampler"] == "awrs"
-            }
-            improved += errs[10000] < errs[100]
-        assert improved >= 27  # 90%
+        for name in ("wrs", "awrs"):
+            mae = {r["N"]: r["value"] for r in res.rows if r["metric"] == "mae" and r["sampler"] == name}
+            assert mae[10000] < mae[100] / 3, (name, mae)
 
     def test_reproducible_and_worker_invariant(self, tmp_path):
         a = bias_experiment(vocab=10, n_instances=4, n_grid=[10], seed=4)

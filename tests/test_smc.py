@@ -12,7 +12,7 @@ from zest.samplers import awrs_batch
 from zest.smc import (
     ess,
     importance_sample,
-    lcd_generate,
+    lcd_sample,
     resample_multinomial,
     resample_stratified,
     sample_verify,
@@ -281,6 +281,7 @@ class TestEnsembleArrays:
         "smc_twist": lambda lm, lang: smc_twist(lm, lang, 300, tau=0.5, seed=82),
         "importance_sample": lambda lm, lang: importance_sample(lm, lang, 300, seed=83),
         "sample_verify": lambda lm, lang: sample_verify(lm, lang, 300, seed=84),
+        "lcd_sample": lambda lm, lang: lcd_sample(lm, lang, 300, seed=85),
     }
 
     @pytest.mark.parametrize("engine", list(ENGINES))
@@ -364,40 +365,37 @@ class TestSampleVerify:
 
 class TestLcdGenerate:
     def test_biased_first_symbol_split(self, lm, lang):
-        counts = {"a": 0, "b": 0}
-        for i in range(4000):
-            s = lcd_generate(lm, lang, make_rng(18, i))
-            counts[s[0]] += 1
-        assert counts["a"] / 4000 == pytest.approx(0.9, abs=0.02)
+        ens = lcd_sample(lm, lang, 4000, seed=18)
+        first_a = sum(p for s, p in ens.posterior_estimate.items() if s[0] == "a")
+        assert first_a == pytest.approx(0.9, abs=0.02)
 
     def test_ars_and_mask_rollouts_agree(self, lm, lang):
         n = 6000
-        freq_ars: dict = {}
-        freq_mask: dict = {}
-        for i in range(n):
-            a = lcd_generate(lm, lang, make_rng(19, i), sampler="ars")
-            m = lcd_generate(lm, lang, make_rng(20, i), sampler="mask")
-            freq_ars[a] = freq_ars.get(a, 0) + 1 / n
-            freq_mask[m] = freq_mask.get(m, 0) + 1 / n
+        freq_ars = lcd_sample(lm, lang, n, seed=19, sampler="ars").posterior_estimate
+        freq_mask = lcd_sample(lm, lang, n, seed=20, sampler="mask").posterior_estimate
         assert tv(freq_ars, freq_mask) < 0.03
 
     def test_matches_enumerated_rollout_distribution(self, lm, lang):
         lcd = lcd_distribution(lm, lang)
-        n = 6000
-        freq: dict = {}
-        for i in range(n):
-            s = lcd_generate(lm, lang, make_rng(21, i))
-            freq[s] = freq.get(s, 0) + 1 / n
-        assert tv(freq, lcd.dist) < 0.03
+        ens = lcd_sample(lm, lang, 6000, seed=21)
+        assert ens.g_hat == 1.0 and np.all(ens.weights == 1.0)
+        assert tv(ens.posterior_estimate, lcd.dist) < 0.03
 
     def test_single_path_language_is_deterministic(self, lm):
         lang = TrieLanguage(["ab"], alphabet=lm.alphabet)
-        assert all(lcd_generate(lm, lang, make_rng(22, i)) == "ab" for i in range(20))
+        assert lcd_sample(lm, lang, 20, seed=22).prefixes == ["ab"] * 20
 
     def test_dead_root_raises(self, lm):
         empty = TrieLanguage([], alphabet=lm.alphabet)
         with pytest.raises(DeadPrefix):
-            lcd_generate(lm, empty, make_rng(23))
+            lcd_sample(lm, empty, 10, seed=23)
+
+    @pytest.mark.parametrize("sampler", ["ars", "mask"])
+    def test_dead_prefix_raises(self, lm, sampler):
+        # After "a" only end-of-string is valid, and the model gives it no mass.
+        lang = TrieLanguage(["a"], alphabet=lm.alphabet)
+        with pytest.raises(DeadPrefix):
+            lcd_sample(lm, lang, 10, seed=24, sampler=sampler)
 
 
 class TestBiasCorrectionContrast:
