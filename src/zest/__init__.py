@@ -6,8 +6,8 @@ The library provides, at desk scale and with exact reference oracles:
 - local token constraints with evaluation counting (:mod:`zest.constraints`);
 - the family of exact and budgeted weighted rejection samplers
   (:mod:`zest.samplers`);
-- exact enumeration oracles (:mod:`zest.oracle`) and tiny autoregressive
-  models with finite support (:mod:`zest.toylm`);
+- exact enumeration oracles over any automaton (:mod:`zest.oracle`) and
+  tiny autoregressive models with finite support (:mod:`zest.toylm`);
 - sequential Monte Carlo with properly weighted proposals (:mod:`zest.smc`);
 - analytic expected-cost laws (:mod:`zest.analytics`) and the batch
   experiment harness (:mod:`zest.simharness`).

@@ -106,19 +106,21 @@ _CONFIG_KEYS = {
 }
 
 
-def _apply_config(ctx, path, values: dict) -> dict:
+def _apply_config(ctx, path, values: dict) -> set[str]:
+    """Fill ``values`` from the run descriptor, where a null value counts as
+    absent, and return the options it gives."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         _fail_config(f"unknown run-descriptor keys {sorted(unknown)}")
     params = {p.name: p for p in ctx.command.params}
-    for key, value in doc.items():
-        dest = _CONFIG_KEYS[key]
+    given = {_CONFIG_KEYS[key]: value for key, value in doc.items() if value is not None}
+    for dest, value in given.items():
         if ctx.get_parameter_source(dest) == click.core.ParameterSource.DEFAULT:
             # The flag's own type converts and range-checks the file value.
             values[dest] = params[dest].type_cast_value(ctx, value)
-    return values
+    return set(given)
 
 
 @main.command()
@@ -135,9 +137,9 @@ def _apply_config(ctx, path, values: dict) -> dict:
 @click.option("--tau", default=0.5, show_default=True, type=click.FloatRange(0.0, 1.0),
               help="Resampling trigger fraction of N.")
 @click.option("--extra-loops", "-L", "extra_loops", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--theta0", default=None, type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
-@click.option("--theta1", default=None, type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
-@click.option("--budget", "-R", default=None, type=click.IntRange(min=1))
+@click.option("--theta0", default=SamplerConfig.theta0, type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
+@click.option("--theta1", default=SamplerConfig.theta1, type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
+@click.option("--budget", "-R", default=SamplerConfig.budget, type=click.IntRange(min=1))
 @click.option("--top-p", default=None, type=click.FloatRange(0.0, 1.0, min_open=True))
 @click.option("--max-steps", default=smc.DEFAULT_MAX_STEPS, show_default=True, type=click.IntRange(min=1))
 @click.option("--resample", type=click.Choice(["multinomial", "stratified"]), default="multinomial",
@@ -147,8 +149,9 @@ def _apply_config(ctx, path, values: dict) -> dict:
 @click.pass_context
 def generate(ctx, config, **values):
     """Run one generation method; emit the weighted ensemble as JSON."""
+    given = {name for name in values if ctx.get_parameter_source(name) != click.core.ParameterSource.DEFAULT}
     if config is not None:
-        values = _apply_config(ctx, config, values)
+        given |= _apply_config(ctx, config, values)
     model, language, language_file, pattern = (
         values["model"], values["language"], values["language_file"], values["pattern"],
     )
@@ -163,18 +166,15 @@ def generate(ctx, config, **values):
     family = _load_language(lm, language, language_file, pattern)
     if method != "lm" and family is None:
         _fail_config(f"method {method!r} needs a constraint (--language/--language-file/--pattern)")
-    if theta0 is not None or theta1 is not None:
-        if not (method == "smc-awrs" and sampler == "cawrs"):
-            _fail_config("--theta0/--theta1 apply only to smc-awrs with --sampler cawrs")
-    if budget is not None and not (method == "smc-awrs" and sampler in ("cwrs", "gawrs", "rawrs")):
+    # Refuse options the run would ignore, so no run descriptor claims them.
+    if given & {"theta0", "theta1"} and not (method == "smc-awrs" and sampler == "cawrs"):
+        _fail_config("--theta0/--theta1 apply only to smc-awrs with --sampler cawrs")
+    if "budget" in given and not (method == "smc-awrs" and sampler in ("cwrs", "gawrs", "rawrs")):
         _fail_config("--budget applies only to smc-awrs with a budgeted sampler")
+    if given & {"tau", "max_steps", "resample"} and method not in ("smc-twist", "smc-awrs"):
+        _fail_config("--tau/--max-steps/--resample apply only to smc-twist and smc-awrs")
     try:
-        config = SamplerConfig(
-            extra_loops=extra_loops,
-            theta0=theta0 if theta0 is not None else 0.25,
-            theta1=theta1 if theta1 is not None else 0.75,
-            budget=budget if budget is not None else 8,
-        )
+        config = SamplerConfig(extra_loops=extra_loops, theta0=theta0, theta1=theta1, budget=budget)
     except ValueError as e:
         _fail_config(str(e))
     if top_p is not None:

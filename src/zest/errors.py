@@ -27,7 +27,3 @@ class EmptyPosterior(ZestError):
 
 class AllDead(ZestError):
     """Every particle in an ensemble carries zero weight."""
-
-
-class EnumerationLimitExceeded(ZestError):
-    """An exact oracle refused to enumerate beyond its configured bounds."""

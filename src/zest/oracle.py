@@ -1,8 +1,8 @@
 """Exact, slow reference computations that every sampler is tested against.
 
-These enumerate rather than sample. They are bounded on purpose: past the
-configured language size or string length they refuse instead of silently
-approximating.
+These enumerate rather than sample. The string oracles walk every prefix
+that a constraint automaton keeps live; a ToyLM's forced end-of-string at
+``max_len`` ends the walk, whose cost grows with the accepted strings.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import TokenConstraint, TrieLanguage
+from .constraints import DfaPattern, TokenConstraint
 from .dist import Categorical
-from .errors import EmptyPosterior, EnumerationLimitExceeded, NoValidToken
+from .errors import DeadPrefix, EmptyPosterior, NoValidToken
 from .toylm import ToyLM
 
 __all__ = [
@@ -25,12 +25,7 @@ __all__ = [
     "LcdDistribution",
     "lcd_distribution",
     "kl_local",
-    "MAX_LANGUAGE_SIZE",
-    "MAX_STRING_LEN",
 ]
-
-MAX_LANGUAGE_SIZE = 100_000
-MAX_STRING_LEN = 16
 
 
 @dataclass
@@ -57,14 +52,6 @@ def token_mask(prior: Categorical, c: TokenConstraint) -> LocalPosterior:
     return LocalPosterior(post=Categorical(unnorm / z), z=z)
 
 
-def _check_bounds(lang: TrieLanguage):
-    if len(lang) > MAX_LANGUAGE_SIZE:
-        raise EnumerationLimitExceeded(f"language has {len(lang)} strings (limit {MAX_LANGUAGE_SIZE})")
-    too_long = max((len(s) for s in lang.strings), default=0)
-    if too_long > MAX_STRING_LEN:
-        raise EnumerationLimitExceeded(f"language has a string of length {too_long} (limit {MAX_STRING_LEN})")
-
-
 @dataclass
 class GlobalPosterior:
     """Exact distribution over complete strings given the sequence constraint."""
@@ -73,19 +60,28 @@ class GlobalPosterior:
     g: float
 
 
-def global_posterior(lm: ToyLM, lang: TrieLanguage) -> GlobalPosterior:
-    """Condition the model on membership in ``lang`` by full enumeration.
+def global_posterior(lm: ToyLM, family: DfaPattern) -> GlobalPosterior:
+    """Condition the model on acceptance by ``family`` by full enumeration.
 
-    Returns the posterior over satisfying strings together with g, the
-    total prior probability of satisfying the constraint. Raises
+    Returns the posterior over accepted strings, in sorted order, together
+    with g, the total prior probability of acceptance. Raises
     EmptyPosterior when g = 0.
     """
-    _check_bounds(lang)
-    masses = {s: lm.string_prob(s) for s in sorted(lang.strings)}
+    masses = {}
+    # Depth-first over live prefixes, multiplying in lm.string_prob's order.
+    stack = [("", 1.0)]
+    while stack:
+        prefix, p = stack.pop()
+        probs = lm.next_dist(prefix).probs
+        for i in np.flatnonzero(family.valid_next(prefix) & (probs > 0)).tolist():
+            if i == lm.eos:
+                masses[prefix] = p * float(probs[i])
+            else:
+                stack.append((prefix + lm.alphabet[i], p * float(probs[i])))
     g = math.fsum(masses.values())
     if g <= 0.0:
-        raise EmptyPosterior("no string in the language has positive model probability")
-    return GlobalPosterior(dist={s: m / g for s, m in masses.items() if m > 0}, g=g)
+        raise EmptyPosterior("no accepted string has positive model probability")
+    return GlobalPosterior(dist={s: m / g for s, m in sorted(masses.items()) if m > 0}, g=g)
 
 
 @dataclass
@@ -102,11 +98,12 @@ class LcdDistribution:
     weights: dict[str, float]
 
 
-def lcd_distribution(lm: ToyLM, lang: TrieLanguage) -> LcdDistribution:
-    """Enumerate the locally-constrained decoding distribution exactly."""
-    _check_bounds(lang)
-    if not lang.is_valid_prefix(""):
-        raise EmptyPosterior("the language admits no valid prefix at the root")
+def lcd_distribution(lm: ToyLM, family: DfaPattern) -> LcdDistribution:
+    """Enumerate the locally-constrained decoding distribution exactly.
+
+    Raises DeadPrefix where ``lcd_sample`` would: at a reachable prefix,
+    the root included, with no valid token of positive probability.
+    """
     out_p: dict[str, float] = {}
     out_w: dict[str, float] = {}
     # Depth-first walk over valid prefixes, carrying the product of local
@@ -114,15 +111,17 @@ def lcd_distribution(lm: ToyLM, lang: TrieLanguage) -> LcdDistribution:
     stack = [("", 1.0, 1.0)]
     while stack:
         prefix, path_p, path_w = stack.pop()
-        prior = lm.next_dist(prefix)
-        local = token_mask(prior, lang.constraint_at(prefix))
+        try:
+            local = token_mask(lm.next_dist(prefix), family.constraint_at(prefix))
+        except NoValidToken as e:
+            raise DeadPrefix(f"prefix {prefix!r} has no valid continuation") from e
         post = local.post.probs
         w = path_w * local.z
-        p_eos = float(post[lang.eos])
+        p_eos = float(post[lm.eos])
         if p_eos > 0:
             out_p[prefix] = path_p * p_eos
             out_w[prefix] = w
-        for i, ch in enumerate(lang.alphabet):
+        for i, ch in enumerate(lm.alphabet):
             q = float(post[i])
             if q > 0:
                 stack.append((prefix + ch, path_p * q, w))

@@ -2,8 +2,9 @@
 
 Every model here has finite support by construction: strings longer than
 ``max_len`` are impossible because the final step forces end-of-string
-with probability one. That makes global posteriors enumerable, which is
-what lets the samplers and SMC engines be tested against exact answers.
+with probability one. That makes global posteriors under any automaton
+enumerable (``zest.oracle``), which is what lets the samplers and SMC
+engines be tested against exact answers.
 
 Token ids: symbol ``i`` of the alphabet is token ``i``; end-of-string is
 token ``alphabet_size``. Conditional tables are keyed by the last
@@ -91,35 +92,6 @@ class ToyLM:
             p *= float(self.next_dist(s[:t]).probs[sym])
         p *= float(self.next_dist(s).probs[self.eos])
         return p
-
-    def prefix_prob(self, prefix: str) -> float:
-        """Probability that a drawn string starts with ``prefix``.
-
-        The conditional tables are exactly the conditional prefix
-        probabilities, so the product over steps is exact.
-        """
-        if len(prefix) > self.max_len:
-            return 0.0
-        p = 1.0
-        for t, ch in enumerate(prefix):
-            sym = self.alphabet.index(ch)
-            p *= float(self.next_dist(prefix[:t]).probs[sym])
-        return p
-
-    def enumerate_support(self):
-        """Yield ``(string, probability)`` for every complete string."""
-        stack = [("", 1.0)]
-        while stack:
-            prefix, p = stack.pop()
-            dist = self.next_dist(prefix).probs
-            p_eos = float(dist[self.eos])
-            if p * p_eos > 0:
-                yield prefix, p * p_eos
-            if len(prefix) < self.max_len:
-                for i, ch in enumerate(self.alphabet):
-                    q = p * float(dist[i])
-                    if q > 0:
-                        stack.append((prefix + ch, q))
 
     def to_json(self) -> str:
         doc = {

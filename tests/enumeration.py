@@ -10,13 +10,34 @@ All enumerators return a list of (probability, token, zhat, calls)
 tuples whose probabilities sum to one. Pool masses are summed from the
 surviving tokens, so priors that sum to 1 only within tolerance, and
 pools far smaller than the rounding error of 1, are handled exactly.
+
+``support`` enumerates a model's whole support with
+``zest.oracle.global_posterior``, and ``likeliest`` ranks it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from zest.constraints import DfaPattern
+from zest.oracle import global_posterior
+
 Trace = tuple[float, int, float, int]
+
+
+def support(lm) -> dict[str, float]:
+    """Every string the model can produce and its probability, in string order.
+
+    The oracle conditions on the one-state automaton that accepts everything.
+    """
+    everything = DfaPattern(["q"], lm.alphabet, {"q": {ch: "q" for ch in lm.alphabet}}, ["q"])
+    return global_posterior(lm, everything).dist
+
+
+def likeliest(lm, k: int) -> list[str]:
+    """The model's ``k`` most probable strings; equal ones in string order."""
+    probs = support(lm)
+    return sorted(probs, key=lambda s: -probs[s])[:k]
 
 
 def _pool_mass(probs, removed: frozenset) -> float:

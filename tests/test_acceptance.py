@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from enumeration import likeliest
 from zest import samplers as S
 from zest.constraints import TrieLanguage, mask_constraint
 from zest.oracle import global_posterior
@@ -219,9 +220,7 @@ def test_criterion_7_smc_posterior_convergence(capsys):
     for i in range(20):
         lm = random_lm(1000 + i, alphabet_size=3, k=1, max_len=5)
         rng = make_rng(SEED, 5, i)
-        support = sorted(lm.enumerate_support(), key=lambda sp: -sp[1])
-        n_lang = int(rng.integers(3, 7))
-        strings = [s for s, _ in support[:n_lang]]
+        strings = likeliest(lm, int(rng.integers(3, 7)))
         lang = TrieLanguage(strings, alphabet=lm.alphabet)
         ens = smc_pwp(lm, lang, proposal="awrs", n_particles=10**4, tau=0.5, seed=9000 + i)
         exact = global_posterior(lm, lang).dist

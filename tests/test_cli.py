@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import zest
+from enumeration import likeliest
 from zest.cli import main
 
 
@@ -96,7 +97,7 @@ class TestGenerate:
         lm = random_lm(2, alphabet_size=2, k=1, max_len=3)
         model_path = tmp_path / "m.json"
         model_path.write_text(lm.to_json(), encoding="utf-8")
-        strings = [s for s, _ in sorted(lm.enumerate_support(), key=lambda sp: -sp[1])[:2]]
+        strings = likeliest(lm, 2)
         lang_path = tmp_path / "lang.txt"
         lang_path.write_text("\n".join(strings) + "\n", encoding="utf-8")
         out = run_json(
@@ -143,7 +144,7 @@ class TestGenerate:
         lm = random_lm(5, alphabet_size=6, k=1, max_len=4)
         model_path = tmp_path / "m.json"
         model_path.write_text(lm.to_json(), encoding="utf-8")
-        strings = [s for s, _ in sorted(lm.enumerate_support(), key=lambda sp: -sp[1])[:40]]
+        strings = likeliest(lm, 40)
         lang_path = tmp_path / "lang.txt"
         lang_path.write_text("\n".join(strings) + "\n", encoding="utf-8")
         args = [sys.executable, "-m", "zest.cli", "generate", "--model", str(model_path),
@@ -245,6 +246,24 @@ class TestExitCodes:
             args = ["--config", str(cfg)]
         result = runner.invoke(main, ["generate", *args])
         assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("option", ["max_steps", "tau", "resample"])
+    @pytest.mark.parametrize("method", ["lm", "lcd-mask", "lcd-ars", "sample-verify", "is"])
+    def test_option_the_method_ignores_is_two(self, runner, tmp_path, method, option):
+        # Only the SMC methods step and resample under these options. Even the
+        # default value, given explicitly, is refused, so a run descriptor
+        # never names a setting the run did not use; null counts as absent.
+        value = {"max_steps": 64, "tau": 0.5, "resample": "multinomial"}[option]
+        base = [] if method == "lm" else ["--language", "{aa,ba}"]
+        flag = f"--{option.replace('_', '-')}"
+        result = runner.invoke(main, ["generate", "--method", method, *base, flag, str(value)])
+        assert result.exit_code == 2, result.output
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({option: value}), encoding="utf-8")
+        result = runner.invoke(main, ["generate", "--method", method, *base, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        cfg.write_text(json.dumps({option: None}), encoding="utf-8")
+        assert run_json(runner, ["generate", "--method", method, *base, "--config", str(cfg), "--n", "5"])["n"] == 5
 
     @pytest.mark.parametrize(
         "constraint",

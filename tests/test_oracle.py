@@ -1,15 +1,20 @@
 """Exact enumeration oracles: local posteriors, global conditioning, decoding bias."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zest.constraints import TrieLanguage, mask_constraint
+from enumeration import support
+from zest.constraints import DfaPattern, TrieLanguage, mask_constraint
 from zest.dist import Categorical, normalize
-from zest.errors import EmptyPosterior, EnumerationLimitExceeded, NoValidToken
+from zest.errors import DeadPrefix, EmptyPosterior, NoValidToken
 from zest.oracle import global_posterior, kl_local, lcd_distribution, token_mask
 from zest.rng import make_rng
+from zest.smc import lcd_sample
 from zest.toylm import example_a1, random_lm
 
 
@@ -48,11 +53,12 @@ class TestGlobalPosterior:
 
     def test_vacuous_language_recovers_model(self):
         lm = random_lm(4, alphabet_size=2, k=1, max_len=3)
-        support = dict(lm.enumerate_support())
-        gp = global_posterior(lm, TrieLanguage(support.keys(), alphabet=lm.alphabet))
+        strings = support(lm)
+        assert math.fsum(lm.string_prob(s) for s in strings) == pytest.approx(1.0, abs=1e-9)
+        gp = global_posterior(lm, TrieLanguage(strings, alphabet=lm.alphabet))
         assert gp.g == pytest.approx(1.0, abs=1e-9)
-        for s, p in support.items():
-            assert gp.dist[s] == pytest.approx(p, abs=1e-9)
+        for s in strings:
+            assert gp.dist[s] == pytest.approx(lm.string_prob(s), abs=1e-9)
 
     def test_single_string_language(self):
         lm = example_a1()
@@ -66,11 +72,56 @@ class TestGlobalPosterior:
         with pytest.raises(EmptyPosterior):
             global_posterior(lm, dead)
 
-    def test_refuses_overlong_strings(self):
-        lm = example_a1()
-        lang = TrieLanguage(["a" * 17], alphabet=lm.alphabet)
-        with pytest.raises(EnumerationLimitExceeded):
-            global_posterior(lm, lang)
+
+@st.composite
+def small_automaton(draw, alphabet):
+    """2-4 states, each transition missing or to a random state, random finals."""
+    n = draw(st.integers(2, 4))
+    transitions = {q: {} for q in range(n)}
+    for q in range(n):
+        for ch in alphabet:
+            dst = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+            if dst is not None:
+                transitions[q][ch] = dst
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    return DfaPattern(range(n), alphabet, transitions, accepting, start=draw(st.integers(0, n - 1)))
+
+
+class TestAutomata:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, data):
+        lm = random_lm(
+            data.draw(st.integers(0, 2**16)),
+            alphabet_size=data.draw(st.integers(2, 3)),
+            k=data.draw(st.integers(0, 2)),
+            max_len=data.draw(st.integers(0, 4)),
+        )
+        dfa = data.draw(small_automaton(lm.alphabet))
+        strings = ("".join(t) for n in range(lm.max_len + 1) for t in itertools.product(lm.alphabet, repeat=n))
+        masses = {s: lm.string_prob(s) for s in strings if dfa.accepts(s)}
+        g = math.fsum(masses.values())
+        if g == 0.0:
+            with pytest.raises(EmptyPosterior):
+                global_posterior(lm, dfa)
+            return
+        gp = global_posterior(lm, dfa)
+        assert gp.g == pytest.approx(g, rel=1e-12)
+        assert gp.dist == pytest.approx({s: m / g for s, m in masses.items() if m > 0}, rel=1e-12)
+        assert list(gp.dist) == sorted(gp.dist)
+
+    def test_lcd_reweighting_on_an_automaton(self):
+        # Strings over {a, b} without two a's in a row; every state accepts,
+        # so local decoding never reaches a dead end.
+        lm = random_lm(3, alphabet_size=2, k=1, max_len=5)
+        dfa = DfaPattern(["b", "a"], lm.alphabet, {"b": {"a": "a", "b": "b"}, "a": {"b": "b"}}, ["b", "a"])
+        lcd = lcd_distribution(lm, dfa)
+        gp = global_posterior(lm, dfa)
+        assert set(lcd.dist) == set(gp.dist)
+        total = math.fsum(lcd.dist[s] * lcd.weights[s] for s in lcd.dist)
+        assert total == pytest.approx(gp.g, abs=1e-12)
+        for s in lcd.dist:
+            assert lcd.dist[s] * lcd.weights[s] / total == pytest.approx(gp.dist[s], abs=1e-12)
 
 
 class TestLcdDistribution:
@@ -84,15 +135,15 @@ class TestLcdDistribution:
 
     def test_vacuous_language(self):
         lm = random_lm(6, alphabet_size=2, k=1, max_len=3)
-        support = dict(lm.enumerate_support())
-        lcd = lcd_distribution(lm, TrieLanguage(support.keys(), alphabet=lm.alphabet))
-        for s, p in support.items():
-            assert lcd.dist[s] == pytest.approx(p, abs=1e-9)
+        strings = support(lm)
+        lcd = lcd_distribution(lm, TrieLanguage(strings, alphabet=lm.alphabet))
+        for s in strings:
+            assert lcd.dist[s] == pytest.approx(lm.string_prob(s), abs=1e-9)
             assert lcd.weights[s] == pytest.approx(1.0, abs=1e-9)
 
     def test_reweighting_recovers_global_posterior(self):
         lm = random_lm(10, alphabet_size=3, k=1, max_len=4)
-        strings = [s for s, _ in sorted(lm.enumerate_support())[:5]]
+        strings = list(support(lm))[:5]
         lang = TrieLanguage(strings, alphabet=lm.alphabet)
         lcd = lcd_distribution(lm, lang)
         gp = global_posterior(lm, lang)
@@ -103,7 +154,7 @@ class TestLcdDistribution:
     def test_mean_weight_equals_global_mass(self):
         # E over the product-of-locals distribution of the weight is g.
         lm = random_lm(11, alphabet_size=3, k=1, max_len=4)
-        strings = [s for s, _ in sorted(lm.enumerate_support())[:6]]
+        strings = list(support(lm))[:6]
         lang = TrieLanguage(strings, alphabet=lm.alphabet)
         lcd = lcd_distribution(lm, lang)
         gp = global_posterior(lm, lang)
@@ -112,9 +163,20 @@ class TestLcdDistribution:
 
     def test_probabilities_normalize(self):
         lm = random_lm(12, alphabet_size=2, k=2, max_len=5)
-        strings = [s for s, _ in sorted(lm.enumerate_support())[:8]]
+        strings = list(support(lm))[:8]
         lcd = lcd_distribution(lm, TrieLanguage(strings, alphabet=lm.alphabet))
         assert math.fsum(lcd.dist.values()) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("strings", [["aaa"], []], ids=["dead-end", "empty"])
+    def test_dead_prefix_raises_as_lcd_sample_does(self, strings):
+        # "aaa" is longer than max_len: at "aa" only end-of-string has mass,
+        # and the language rejects it.
+        lm = example_a1()
+        lang = TrieLanguage(strings, alphabet=lm.alphabet)
+        with pytest.raises(DeadPrefix):
+            lcd_distribution(lm, lang)
+        with pytest.raises(DeadPrefix):
+            lcd_sample(lm, lang, 10, seed=0)
 
 
 class TestKlIdentity:

@@ -7,6 +7,7 @@ library kernels must then reproduce the enumerator's expected weight,
 call count and output marginals within four standard errors.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -589,6 +590,16 @@ class TestPackedPool:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_pool_total_is_the_summed_prior(self):
+        # A row whose two loops accept at once rejects nothing, so its zhat is
+        # the pool total. At V = 1e5 the sequential cumsum's last entry is off
+        # by about 2.3e-12; the total must be the accurately summed prior.
+        prior, valid = placed_mass_instance(10**5, 0.9, 100)
+        out = awrs_batch(prior, c_of(valid), 1000, make_rng(64))
+        clean = out.trials == 2
+        assert clean.any()
+        np.testing.assert_allclose(out.zhats[clean], math.fsum(prior.probs.tolist()), rtol=0, atol=1e-15)
 
 
 def peaked_instance(vocab):

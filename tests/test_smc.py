@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from zest.constraints import TrieLanguage
+from enumeration import likeliest
+from zest.constraints import DfaPattern, TrieLanguage
 from zest.dist import sample_many
 from zest.errors import AllDead, DeadPrefix
 from zest.oracle import global_posterior, lcd_distribution, token_mask
@@ -206,11 +207,26 @@ class TestProperlyWeightedEngine:
 
     def test_random_instance_converges(self):
         lm = random_lm(31, alphabet_size=3, k=1, max_len=4)
-        strings = [s for s, _ in sorted(lm.enumerate_support(), key=lambda sp: -sp[1])[:5]]
+        strings = likeliest(lm, 5)
         lang = TrieLanguage(strings, alphabet=lm.alphabet)
         ens = smc_pwp(lm, lang, "awrs", n_particles=3000, tau=0.5, seed=8)
         exact = global_posterior(lm, lang).dist
         assert tv(ens.posterior_estimate, exact) < 0.06
+
+    def test_automaton_g_hat_matches_exact(self):
+        # Strings over {a, b, c, d} with an even number of a's that end in b.
+        lm = random_lm(0, alphabet_size=4, k=2, max_len=6)
+        after_b = {"a": "odd", "b": "end_b", "c": "even", "d": "even"}
+        dfa = DfaPattern(
+            ["even", "odd", "end_b"],
+            lm.alphabet,
+            {"even": after_b, "end_b": after_b, "odd": {"a": "even", "b": "odd", "c": "odd", "d": "odd"}},
+            ["end_b"],
+        )
+        g = global_posterior(lm, dfa).g
+        g_hats = np.array([smc_pwp(lm, dfa, "awrs", 1000, tau=0.5, seed=s).g_hat for s in range(10)])
+        se = g_hats.std(ddof=1) / np.sqrt(len(g_hats))
+        assert abs(g_hats.mean() - g) <= 4 * se
 
     def test_deterministic_given_seed(self, lm, lang):
         a = smc_pwp(lm, lang, "awrs", 200, tau=0.5, seed=9)

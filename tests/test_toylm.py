@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from enumeration import support
 from zest.errors import PrefixTooLong
 from zest.toylm import ToyLM, builtin_model, example_a1, random_lm
 
@@ -33,11 +34,6 @@ class TestExampleModel:
         assert lm.string_prob("ba") == pytest.approx(0.099)
         assert lm.string_prob("bb") == pytest.approx(0.001)
 
-    def test_prefix_probs(self):
-        lm = example_a1()
-        assert lm.prefix_prob("") == 1.0
-        assert lm.prefix_prob("a") == pytest.approx(0.9)
-
     def test_builtin_lookup(self):
         assert builtin_model("example-a1").alphabet == ("a", "b")
         with pytest.raises(KeyError):
@@ -53,9 +49,8 @@ class TestDegenerateModels:
             tables={"": np.array([1.0, 0.0]), "a": np.array([1.0, 0.0])},
         )
         assert lm.string_prob("aaa") == 1.0  # forced eos supplies the final factor
-        assert lm.prefix_prob("aaa") == 1.0
 
-    def test_dead_branch_prefix_probability_zero(self):
+    def test_dead_branch_has_no_support(self):
         lm = ToyLM(
             alphabet=("a", "b"),
             order=1,
@@ -66,8 +61,10 @@ class TestDegenerateModels:
                 "b": np.array([0.5, 0.5, 0.0]),
             },
         )
-        assert lm.prefix_prob("b") == 0.0
-        assert lm.prefix_prob("ab") == 0.0
+        # No string in the support passes through a zero-probability step.
+        assert support(lm) == {"a": 0.5, "aa": 0.5}
+        assert lm.string_prob("b") == 0.0
+        assert lm.string_prob("ab") == 0.0
 
 
 class TestRandomLM:
@@ -84,20 +81,11 @@ class TestRandomLM:
 
     def test_support_is_finite_and_normalized(self):
         lm = random_lm(8, alphabet_size=3, k=1, max_len=4)
-        support = list(lm.enumerate_support())
-        assert len(support) <= sum(3**t for t in range(5))
-        assert math.fsum(p for _, p in support) == pytest.approx(1.0, abs=1e-9)
-        for s, p in support:
+        probs = support(lm)
+        assert len(probs) <= sum(3**t for t in range(5))
+        assert math.fsum(lm.string_prob(s) for s in probs) == pytest.approx(1.0, abs=1e-9)
+        for s, p in probs.items():
             assert lm.string_prob(s) == pytest.approx(p, abs=1e-12)
-
-    def test_prefix_consistency_at_every_node(self):
-        # prefix mass = string mass here + sum of child prefix masses.
-        lm = random_lm(2, alphabet_size=3, k=1, max_len=3)
-        prefixes = [""] + [a + b for a in "abc" for b in [""] + list("abc")]
-        for prefix in prefixes:
-            lhs = lm.prefix_prob(prefix)
-            rhs = lm.string_prob(prefix) + sum(lm.prefix_prob(prefix + ch) for ch in "abc")
-            assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestJsonFormat:
