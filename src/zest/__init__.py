@@ -15,11 +15,10 @@ The library provides, at desk scale and with exact reference oracles:
 
 from . import analytics, constraints, dist, errors, oracle, rng, samplers, smc, toylm
 from .constraints import DfaPattern, TokenConstraint, TrieLanguage
-from .dist import Categorical, normalize, remove_renormalize, sample
+from .dist import Categorical, normalize, sample
 from .oracle import LocalPosterior, global_posterior, lcd_distribution, token_mask
 from .rng import make_rng
 from .samplers import (
-    SamplerConfig,
     ars_batch,
     awrs_batch,
     cawrs_batch,

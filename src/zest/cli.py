@@ -3,7 +3,8 @@
 Structured results go to stdout as JSON (or to --out); sweeps write CSV
 plus a metadata JSON next to it. Exit codes: 0 success, 2 configuration
 error, 3 inference failure (reported as machine-readable error JSON).
-All randomness flows from the single --seed flag.
+An option the chosen method or sampler does not read is a configuration
+error. All randomness flows from the single --seed flag.
 """
 
 from __future__ import annotations
@@ -20,11 +21,26 @@ from . import simharness, smc
 from .constraints import DfaPattern, TrieLanguage
 from .dist import Categorical
 from .errors import ZestError
-from .samplers import SamplerConfig, top_p_compose
+from .samplers import top_p_compose
 from .toylm import BUILTIN_MODELS, ToyLM, builtin_model
 
-METHODS = ("lm", "lcd-mask", "lcd-ars", "sample-verify", "smc-twist", "smc-awrs", "is")
-SAMPLERS = ("awrs", "wrs", "cawrs", "cwrs", "gawrs", "rawrs", "exact")
+# The options each method reads, beyond --model, --n, --top-p, --seed and
+# --out, which every run reads. An option given to a method that does not
+# read it exits 2, so no run descriptor names a setting its run ignored.
+_CONSTRAINT = ("language", "language_file", "pattern")
+_STEPS = ("tau", "max_steps", "resample")
+_SAMPLER = ("sampler", "extra_loops", "theta0", "theta1", "budget")
+METHOD_OPTIONS = {
+    "lm": (),
+    "lcd-mask": _CONSTRAINT,
+    "lcd-ars": _CONSTRAINT,
+    "sample-verify": _CONSTRAINT,
+    "is": _CONSTRAINT,
+    "smc-twist": _CONSTRAINT + _STEPS,
+    "smc-awrs": _CONSTRAINT + _STEPS + _SAMPLER,
+}
+METHODS = tuple(METHOD_OPTIONS)
+SAMPLERS = tuple(smc._KERNELS)
 
 BUILTIN_LANGUAGES = {
     "example-a1": ("aa", "ba"),
@@ -106,23 +122,23 @@ _CONFIG_KEYS = {
 }
 
 
-def _apply_config(ctx, path, values: dict) -> set[str]:
-    """Fill ``values`` from the run descriptor, where a null value counts as
-    absent, and return the options it gives."""
+def _apply_config(ctx, path, values: dict):
+    """Fill the options not given by flag from the run descriptor."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         _fail_config(f"unknown run-descriptor keys {sorted(unknown)}")
     params = {p.name: p for p in ctx.command.params}
-    given = {_CONFIG_KEYS[key]: value for key, value in doc.items() if value is not None}
-    for dest, value in given.items():
-        if ctx.get_parameter_source(dest) == click.core.ParameterSource.DEFAULT:
-            # The flag's own type converts and range-checks the file value.
+    for key, value in doc.items():
+        dest = _CONFIG_KEYS[key]
+        if value is not None and ctx.get_parameter_source(dest) == click.core.ParameterSource.DEFAULT:
+            # The flag's own type converts the file value.
             values[dest] = params[dest].type_cast_value(ctx, value)
-    return set(given)
 
 
+# Options without a default here are absent unless given; the library
+# function a method calls holds their defaults and range checks.
 @main.command()
 @click.option("--config", default=None, type=click.Path(exists=True),
               help="Run-descriptor JSON; explicit flags win over it.")
@@ -131,60 +147,46 @@ def _apply_config(ctx, path, values: dict) -> set[str]:
 @click.option("--language-file", default=None, type=click.Path(exists=True), help="Newline-delimited strings file.")
 @click.option("--pattern", default=None, help="Automaton JSON (path or inline) as the constraint.")
 @click.option("--method", type=click.Choice(METHODS), default=None)
-@click.option("--sampler", type=click.Choice(SAMPLERS), default="awrs", show_default=True,
-              help="Weighted proposal used by smc-awrs.")
-@click.option("--n", default=100, show_default=True, type=click.IntRange(min=1), help="Particles or rollouts.")
-@click.option("--tau", default=0.5, show_default=True, type=click.FloatRange(0.0, 1.0),
-              help="Resampling trigger fraction of N.")
-@click.option("--extra-loops", "-L", "extra_loops", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--theta0", default=SamplerConfig.theta0, type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
-@click.option("--theta1", default=SamplerConfig.theta1, type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
-@click.option("--budget", "-R", default=SamplerConfig.budget, type=click.IntRange(min=1))
-@click.option("--top-p", default=None, type=click.FloatRange(0.0, 1.0, min_open=True))
-@click.option("--max-steps", default=smc.DEFAULT_MAX_STEPS, show_default=True, type=click.IntRange(min=1))
-@click.option("--resample", type=click.Choice(["multinomial", "stratified"]), default="multinomial",
-              show_default=True)
+@click.option("--sampler", type=click.Choice(SAMPLERS), default=None, help="Weighted proposal of smc-awrs.")
+@click.option("--n", default=100, show_default=True, type=int, help="Particles or rollouts.")
+@click.option("--tau", type=float, default=None, help="Resampling trigger fraction of N.")
+@click.option("--extra-loops", "-L", "extra_loops", type=int, default=None)
+@click.option("--theta0", type=float, default=None)
+@click.option("--theta1", type=float, default=None)
+@click.option("--budget", "-R", type=int, default=None)
+@click.option("--top-p", type=float, default=None)
+@click.option("--max-steps", type=int, default=None)
+@click.option("--resample", type=click.Choice(list(smc._RESAMPLERS)), default=None)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, help="Write result JSON here instead of stdout.")
 @click.pass_context
 def generate(ctx, config, **values):
     """Run one generation method; emit the weighted ensemble as JSON."""
-    given = {name for name in values if ctx.get_parameter_source(name) != click.core.ParameterSource.DEFAULT}
     if config is not None:
-        given |= _apply_config(ctx, config, values)
-    model, language, language_file, pattern = (
-        values["model"], values["language"], values["language_file"], values["pattern"],
-    )
-    method, sampler, n, tau = values["method"], values["sampler"], values["n"], values["tau"]
-    extra_loops, theta0, theta1 = values["extra_loops"], values["theta0"], values["theta1"]
-    budget, top_p = values["budget"], values["top_p"]
-    max_steps, resample = values["max_steps"], values["resample"]
-    seed, out = values["seed"], values["out"]
+        _apply_config(ctx, config, values)
+    method, n, seed, out = values["method"], values["n"], values["seed"], values["out"]
     if method is None:
         _fail_config("--method is required (flag or run-descriptor)")
-    lm = _load_model(model)
-    family = _load_language(lm, language, language_file, pattern)
+    given = {name: values[name] for name in _CONSTRAINT + _STEPS + _SAMPLER if values[name] is not None}
+    ignored = [name for name in given if name not in METHOD_OPTIONS[method]]
+    if ignored:
+        flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
+        _fail_config(f"method {method!r} does not read {flags}")
+    lm = _load_model(values["model"])
+    family = _load_language(lm, values["language"], values["language_file"], values["pattern"])
     if method != "lm" and family is None:
         _fail_config(f"method {method!r} needs a constraint (--language/--language-file/--pattern)")
-    # Refuse options the run would ignore, so no run descriptor claims them.
-    if given & {"theta0", "theta1"} and not (method == "smc-awrs" and sampler == "cawrs"):
-        _fail_config("--theta0/--theta1 apply only to smc-awrs with --sampler cawrs")
-    if "budget" in given and not (method == "smc-awrs" and sampler in ("cwrs", "gawrs", "rawrs")):
-        _fail_config("--budget applies only to smc-awrs with a budgeted sampler")
-    if given & {"tau", "max_steps", "resample"} and method not in ("smc-twist", "smc-awrs"):
-        _fail_config("--tau/--max-steps/--resample apply only to smc-twist and smc-awrs")
+    options = {name: value for name, value in given.items() if name not in _CONSTRAINT}
     try:
-        config = SamplerConfig(extra_loops=extra_loops, theta0=theta0, theta1=theta1, budget=budget)
+        if values["top_p"] is not None:
+            # Nucleus truncation is a fixed per-context transform, so apply it to the tables once.
+            tables = {ctx: top_p_compose(Categorical(row), values["top_p"]).probs for ctx, row in lm.tables.items()}
+            lm = ToyLM(lm.alphabet, lm.order, lm.max_len, tables)
+        t0 = time.perf_counter()
+        ens = _dispatch(lm, family, method, n, seed, options)
     except ValueError as e:
+        # The library refuses an out-of-range or inapplicable option before any draw.
         _fail_config(str(e))
-    if top_p is not None:
-        # Nucleus truncation is a fixed per-context transform, so apply it to the tables once.
-        tables = {ctx: top_p_compose(Categorical(row), top_p).probs for ctx, row in lm.tables.items()}
-        lm = ToyLM(lm.alphabet, lm.order, lm.max_len, tables)
-
-    t0 = time.perf_counter()
-    try:
-        ens = _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, seed)
     except ZestError as e:
         _emit({"error": {"type": type(e).__name__, "message": str(e)}, "method": method, "seed": seed}, out)
         sys.exit(3)
@@ -203,7 +205,8 @@ def generate(ctx, config, **values):
     )
 
 
-def _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, seed) -> smc.Ensemble:
+def _dispatch(lm, family, method, n, seed, options) -> smc.Ensemble:
+    """Run ``method``; ``options`` holds the given step and sampler options it reads."""
     if method == "lm":
         return smc.sample_verify(lm, lambda s: True, n, seed=seed)
     if method in ("lcd-mask", "lcd-ars"):
@@ -213,22 +216,11 @@ def _dispatch(lm, family, method, sampler, config, n, tau, max_steps, resample, 
     if method == "is":
         return smc.importance_sample(lm, family, n, seed=seed)
     if method == "smc-twist":
-        return smc.smc_twist(lm, family, n, tau=tau, seed=seed, max_steps=max_steps, resample=resample)
+        return smc.smc_twist(lm, family, n, seed=seed, **options)
     if method == "smc-awrs":
-        return smc.smc_pwp(
-            lm,
-            family,
-            proposal=sampler,
-            n_particles=n,
-            tau=tau,
-            seed=seed,
-            max_steps=max_steps,
-            resample=resample,
-            extra_loops=config.extra_loops,
-            theta0=config.theta0,
-            theta1=config.theta1,
-            budget=config.budget,
-        )
+        if "sampler" in options:
+            options["proposal"] = options.pop("sampler")
+        return smc.smc_pwp(lm, family, n_particles=n, seed=seed, **options)
     raise AssertionError(f"unhandled method {method}")
 
 

@@ -64,10 +64,6 @@ class TokenConstraint:
         self._fn = fn
         self.counter = counter if counter is not None else EvalCounter()
 
-    def __call__(self, token: int) -> bool:
-        self.counter.add(1)
-        return bool(self._fn(np.asarray([token], dtype=np.int64))[0])
-
     def evaluate_many(self, tokens: np.ndarray) -> np.ndarray:
         """Evaluate a batch of token ids, one counted call per id."""
         tokens = np.asarray(tokens, dtype=np.int64)

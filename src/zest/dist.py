@@ -19,7 +19,6 @@ __all__ = [
     "normalize",
     "sample",
     "sample_many",
-    "remove_renormalize",
 ]
 
 SUM_TOL = 1e-9
@@ -86,24 +85,3 @@ def sample_many(dist: Categorical, n: int, rng: np.random.Generator) -> np.ndarr
     """Draw ``n`` iid token ids distributed as ``dist.probs``."""
     return _inverse_cdf(dist.cumulative(), rng.random(n))
 
-
-def remove_renormalize(dist: Categorical, removed) -> Categorical:
-    """Zero out ``removed`` token ids and rescale the survivors.
-
-    ``removed`` may be an iterable of ids or a boolean mask. Survivors are
-    scaled by 1 / (1 - removed mass). Raises AllZeroMass when the removal
-    exhausts the support.
-    """
-    mask = np.zeros(dist.vocab_size, dtype=bool)
-    removed = np.asarray(list(removed) if not isinstance(removed, np.ndarray) else removed)
-    if removed.dtype == bool:
-        mask |= removed
-    elif removed.size:
-        mask[removed.astype(np.int64)] = True
-    survivors = np.where(mask, 0.0, dist.probs)
-    # Summing the survivors directly is the numerically safer form of
-    # dividing by (1 - removed mass).
-    total = float(survivors.sum())
-    if total <= 0.0:
-        raise AllZeroMass("removal exhausted the support")
-    return Categorical(survivors / total)

@@ -40,11 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import TokenConstraint
-from .dist import Categorical
+from .dist import Categorical, sample_many
 from .errors import NoValidToken
 
 __all__ = [
-    "SamplerConfig",
+    "check_knobs",
     "BatchTokens",
     "BatchWeighted",
     "rs_batch",
@@ -59,29 +59,21 @@ __all__ = [
 ]
 
 
-@dataclass
-class SamplerConfig:
-    """Knobs shared by the sampler family.
+def check_knobs(**knobs) -> None:
+    """Raise ValueError if a given sampler knob is out of range.
 
-    extra_loops: additional with-replacement loops for the negative-
-        binomial estimator (must be >= 1).
-    theta0/theta1: rejected-mass thresholds for the clipped adaptive
-        sampler, 0 < theta0 < theta1 < 1.
-    budget: cap on failed constraint calls for the bounded variants.
+    The one range check of each knob, shared by the kernels and
+    ``smc.weighted_proposal``: ``extra_loops`` (L, the extra
+    with-replacement loops) and ``budget`` (R, the cap on failed
+    constraint calls) must be >= 1; the clipping thresholds, given as a
+    pair, must satisfy ``0 < theta0 < theta1 < 1``. A knob's default lives
+    on the signature of each kernel that takes it.
     """
-
-    extra_loops: int = 1
-    theta0: float = 0.25
-    theta1: float = 0.75
-    budget: int = 8
-
-    def __post_init__(self):
-        if self.extra_loops < 1:
-            raise ValueError("extra_loops must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if not (0.0 < self.theta0 < self.theta1 < 1.0):
-            raise ValueError("need 0 < theta0 < theta1 < 1")
+    for key in ("extra_loops", "budget"):
+        if key in knobs and knobs[key] < 1:
+            raise ValueError(f"{key} must be >= 1")
+    if "theta0" in knobs and not (0.0 < knobs["theta0"] < knobs["theta1"] < 1.0):
+        raise ValueError("need 0 < theta0 < theta1 < 1")
 
 
 @dataclass
@@ -112,11 +104,6 @@ class BatchWeighted:
 # Draw machinery
 
 
-def _draw_prior(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(n) * cum[-1]
-    return np.minimum(np.searchsorted(cum, u, side="right"), cum.shape[0] - 1)
-
-
 # Bit i of byte b in a packed pool row marks token 8 * b + i as removed.
 _BIT = (1 << np.arange(8)).astype(np.uint8)
 # A pool mass below this fraction of the total is summed from the pool's
@@ -134,12 +121,12 @@ class _Removed:
     n runs costs n * V / 8 bytes.
     """
 
-    def __init__(self, n_runs: int, probs: np.ndarray, cum: np.ndarray):
-        self.probs = probs
-        self.cum = cum
-        # A pairwise sum: at V = 1e5 the sequential cum[-1] is off by up to 2.3e-12.
-        self.total = float(probs.sum())
-        self.bits = np.zeros((n_runs, (probs.shape[0] + 7) >> 3), dtype=np.uint8)
+    def __init__(self, n_runs: int, prior: Categorical):
+        self.prior = prior
+        self.probs = prior.probs
+        # A pairwise sum: at V = 1e5 the sequential cumulative total is off by up to 2.3e-12.
+        self.total = float(self.probs.sum())
+        self.bits = np.zeros((n_runs, (prior.vocab_size + 7) >> 3), dtype=np.uint8)
         self.mass = np.zeros(n_runs)
         self._comp = np.zeros(n_runs)
 
@@ -183,7 +170,7 @@ class _Removed:
         1e3 and 1e5: fewer candidates than e^-3 or e^-4, fewer rounds than
         e^-1.
         """
-        out = _draw_prior(self.cum, rows.shape[0], rng)
+        out = sample_many(self.prior, rows.shape[0], rng)
         pending = self._removed(rows, out).nonzero()[0]
         vocab = self.probs.shape[0]
         while pending.size:
@@ -193,7 +180,7 @@ class _Removed:
             if low >= 2.0 and low * vocab > 12.0:
                 # Every row's k is 1 and none takes the exact draw: the
                 # common round of a lightly depleted pool, kept cheap.
-                cand = _draw_prior(self.cum, pending.shape[0], rng)
+                cand = sample_many(self.prior, pending.shape[0], rng)
                 fresh = ~self._removed(rows[pending], cand)
                 out[pending[fresh]] = cand[fresh]
                 pending = pending[~fresh]
@@ -224,7 +211,7 @@ class _Removed:
         """Draw ``k[i]`` prior candidates for row i; return the first one not
         removed from each row that has one, and which rows have one."""
         n = int(k.sum())
-        cand = _draw_prior(self.cum, n, rng)
+        cand = sample_many(self.prior, n, rng)
         fresh = ~self._removed(np.repeat(rows, k), cand)
         first = np.minimum.reduceat(np.where(fresh, np.arange(n), n), np.cumsum(k) - k)
         hit = first < n
@@ -303,13 +290,12 @@ def rs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gene
     There is deliberately no iteration cap (bounding cost is the job of
     the budgeted variants); at z = 0 it raises NoValidToken after V rounds.
     """
-    cum = prior.cumulative()
     tokens = np.full(n, -1, dtype=np.int64)
     trials = np.zeros(n, dtype=np.int64)
     alive = np.arange(n)
     rounds = 0
     while alive.size:
-        cand = _draw_prior(cum, alive.size, rng)
+        cand = sample_many(prior, alive.size, rng)
         ok = c.evaluate_many(cand)
         trials[alive] += 1
         tokens[alive[ok]] = cand[ok]
@@ -325,7 +311,7 @@ def rs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gene
 
 
 def _ars_chunk(prior, c, n, rng) -> BatchTokens:
-    rem = _Removed(n, prior.probs, prior.cumulative())
+    rem = _Removed(n, prior)
     tokens = np.full(n, -1, dtype=np.int64)
     trials = np.zeros(n, dtype=np.int64)
     alive = np.arange(n)
@@ -366,10 +352,8 @@ def wrs_batch(
     variance unbiased estimator of z for the induced negative-binomial
     trial count. At z = 0 it raises NoValidToken after V rounds.
     """
+    check_knobs(extra_loops=extra_loops)
     L = int(extra_loops)
-    if L < 1:
-        raise ValueError("extra_loops must be >= 1")
-    cum = prior.cumulative()
     tokens = np.full(n, -1, dtype=np.int64)
     trials = np.zeros(n, dtype=np.int64)
     nrej = np.zeros(n, dtype=np.int64)
@@ -377,7 +361,7 @@ def wrs_batch(
     alive = np.arange(n)
     rounds = 0
     while alive.size:
-        cand = _draw_prior(cum, alive.size, rng)
+        cand = sample_many(prior, alive.size, rng)
         ok = c.evaluate_many(cand)
         trials[alive] += 1
         acc = alive[ok]
@@ -398,7 +382,7 @@ def wrs_batch(
 
 
 def _awrs_chunk(prior, c, n, rng) -> BatchWeighted:
-    rem = _Removed(n, prior.probs, prior.cumulative())
+    rem = _Removed(n, prior)
     tokens = np.full(n, -1, dtype=np.int64)
     trials = np.zeros(n, dtype=np.int64)
     nrej = np.zeros(n, dtype=np.int64)
@@ -452,7 +436,7 @@ _PHASE_DONE = 4
 
 
 def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
-    rem = _Removed(n, prior.probs, prior.cumulative())
+    rem = _Removed(n, prior)
     tokens = np.full(n, -1, dtype=np.int64)
     trials = np.zeros(n, dtype=np.int64)
     nrej = np.zeros(n, dtype=np.int64)
@@ -530,8 +514,8 @@ def cawrs_batch(
     c: TokenConstraint,
     n: int,
     rng: np.random.Generator,
-    theta0: float,
-    theta1: float,
+    theta0: float = 0.25,
+    theta1: float = 0.75,
 ) -> BatchWeighted:
     """Adaptive weighted rejection sampling with rejected-mass clipping.
 
@@ -548,8 +532,7 @@ def cawrs_batch(
     properly weighted for the local target, at the price of occasional
     dead samples.
     """
-    if not (0.0 < theta0 < theta1 < 1.0):
-        raise ValueError("need 0 < theta0 < theta1 < 1")
+    check_knobs(theta0=theta0, theta1=theta1)
     parts = [_cawrs_chunk(prior, c, m, rng, theta0, theta1) for m in _chunks(n, prior.vocab_size)]
     return _cat_weighted(parts)
 
@@ -585,10 +568,8 @@ def cwrs_batch(
     first draw with ``zhat = 0`` when nothing was accepted. ``zhat`` stays
     unbiased for z under the stopped counts.
     """
+    check_knobs(extra_loops=extra_loops, budget=budget)
     L, R = int(extra_loops), int(budget)
-    if L < 1 or R < 1:
-        raise ValueError("extra_loops and budget must be >= 1")
-    cum = prior.cumulative()
     s = np.zeros(n, dtype=np.int64)
     r = np.zeros(n, dtype=np.int64)
     first_tok = np.full(n, -1, dtype=np.int64)
@@ -597,7 +578,7 @@ def cwrs_batch(
     alive = np.arange(n)
     first_wave = True
     while alive.size:
-        cand = _draw_prior(cum, alive.size, rng)
+        cand = sample_many(prior, alive.size, rng)
         ok = c.evaluate_many(cand)
         trials[alive] += 1
         if first_wave:
@@ -621,7 +602,7 @@ def cwrs_batch(
 
 
 def _gawrs_chunk(prior, c, n, rng, L, R) -> BatchWeighted:
-    rem = _Removed(n, prior.probs, prior.cumulative())
+    rem = _Removed(n, prior)
     s = np.zeros(n, dtype=np.int64)
     r = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=np.int64)
@@ -684,9 +665,8 @@ def gawrs_batch(
     calls. Same estimator and the same R-failed / L+1-passed call cap,
     with far fewer calls when much mass is already removed.
     """
+    check_knobs(extra_loops=extra_loops, budget=budget)
     L, R = int(extra_loops), int(budget)
-    if L < 1 or R < 1:
-        raise ValueError("extra_loops and budget must be >= 1")
     parts = [_gawrs_chunk(prior, c, m, rng, L, R) for m in _chunks(n, prior.vocab_size)]
     return _cat_weighted(parts)
 
@@ -697,7 +677,7 @@ def gawrs_batch(
 
 def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
     probs = prior.probs
-    rem = _Removed(n, probs, prior.cumulative())
+    rem = _Removed(n, prior)
     tokens = np.full(n, -1, dtype=np.int64)
     zhats = np.zeros(n)
     trials = np.zeros(n, dtype=np.int64)
@@ -793,9 +773,8 @@ def rawrs_batch(
     pool and gives ``eta_n`` if the probe is valid, else ``q_n * eta_n``.
     At most R scan evaluations plus one probe per run.
     """
+    check_knobs(budget=budget)
     R = int(budget)
-    if R < 1:
-        raise ValueError("budget must be >= 1")
     parts = [_rawrs_chunk(prior, c, m, rng, R) for m in _chunks(n, prior.vocab_size)]
     return _cat_weighted(parts)
 

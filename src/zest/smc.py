@@ -32,6 +32,7 @@ iteration or node order. Resampling draws from the separate stream
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -44,10 +45,10 @@ from .errors import AllDead, DeadPrefix, NoValidToken
 from .oracle import token_mask
 from .rng import make_rng
 from .samplers import (
-    SamplerConfig,
     ars_batch,
     awrs_batch,
     cawrs_batch,
+    check_knobs,
     cwrs_batch,
     gawrs_batch,
     rawrs_batch,
@@ -160,8 +161,8 @@ def _exact(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Genera
     return sample_many(local.post, n, rng), np.full(n, local.z)
 
 
-# Weighted batch kernels by proposal name, with the SamplerConfig fields
-# each one takes.
+# Weighted batch kernels by proposal name, with the keyword knobs each
+# one takes; their defaults are the kernels' own. ``exact`` runs no kernel.
 _KERNELS = {
     "awrs": (awrs_batch, ()),
     "wrs": (wrs_batch, ("extra_loops",)),
@@ -169,6 +170,7 @@ _KERNELS = {
     "cwrs": (cwrs_batch, ("extra_loops", "budget")),
     "gawrs": (gawrs_batch, ("extra_loops", "budget")),
     "rawrs": (rawrs_batch, ("budget",)),
+    "exact": (None, ()),
 }
 
 
@@ -178,19 +180,25 @@ def weighted_proposal(name: str, **params) -> Proposal:
     ``exact`` computes the local posterior by full token masking, once per
     call, and returns the true z as every row's weight; the rest run the
     named ``*_batch`` sampler and return its unbiased estimates. ``params``
-    are SamplerConfig fields; each sampler reads the ones it takes.
+    are knobs of that sampler, passed to its kernel; the kernel's defaults
+    serve the rest. A knob the sampler does not take, or one out of range,
+    raises ValueError here, before any draw.
     """
-    if name == "exact":
-        return _exact
     try:
         kernel, keys = _KERNELS[name]
     except KeyError:
-        raise KeyError(f"unknown proposal {name!r}; choices: {sorted([*_KERNELS, 'exact'])}") from None
-    config = SamplerConfig(**params)
-    kwargs = {key: getattr(config, key) for key in keys}
+        raise KeyError(f"unknown proposal {name!r}; choices: {sorted(_KERNELS)}") from None
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"proposal {name!r} takes no {', '.join(unknown)}")
+    if kernel is None:
+        return _exact
+    if params:
+        defaults = inspect.signature(kernel).parameters
+        check_knobs(**{key: params.get(key, defaults[key].default) for key in keys})
 
     def propose(prior, c, n, rng):
-        out = kernel(prior, c, n, rng, **kwargs)
+        out = kernel(prior, c, n, rng, **params)
         return out.tokens, out.zhats
 
     return propose
@@ -240,11 +248,15 @@ def _run_smc(
 
     ``accept``, when given, is a whole-string check applied once per
     distinct finished string; a rejected string's particles get weight zero.
+    Its evaluations on ``family.counter`` count in the last step's entry of
+    ``eval_counts``.
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     resampler = _RESAMPLERS[resample]
     n = n_particles
     # Particle i holds the prefix strings[node[i]].
@@ -310,8 +322,12 @@ def _run_smc(
     if accept is not None:
         done = np.unique(node[weights > 0.0]).tolist()
         kept = np.zeros(len(strings), dtype=bool)
+        before = family.counter.count
         kept[done] = [accept(strings[k]) for k in done]
         weights[~kept[node]] = 0.0
+        if done:
+            # The checks are the last step's constraint work.
+            eval_counts[-1] += family.counter.count - before
     if float(weights.sum()) <= 0.0:
         raise AllDead("no particle completed an accepted string within the step limit")
     return _finalize(strings, node, weights, eval_counts, steps)
@@ -355,11 +371,13 @@ def smc_pwp(
     globally conditioned distribution. Proposals returning weight zero
     (clipped variants) yield dead particles that resampling removes; a
     proposal raising NoValidToken kills the particles of its prefix group.
-    ``proposal`` is a sampler name for ``weighted_proposal`` or a batch
-    ``Proposal`` callable.
+    ``proposal`` is a sampler name for ``weighted_proposal``, which gets
+    ``proposal_params``, or a batch ``Proposal`` callable, which takes none.
     """
     if isinstance(proposal, str):
         proposal = weighted_proposal(proposal, **proposal_params)
+    elif proposal_params:
+        raise ValueError(f"a callable proposal takes no {', '.join(sorted(proposal_params))}")
     return _run_smc(lm, family, proposal, n_particles, tau, seed, max_steps, resample)
 
 
@@ -395,12 +413,22 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
 def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:
     """Unconstrained rollouts kept or discarded by a whole-string check.
 
-    ``verifier`` is a callable str -> bool (a TrieLanguage works via its
-    membership test), applied once per distinct finished string. Raises
-    AllDead if every rollout fails.
+    ``verifier`` is a callable str -> bool or a language (any DfaPattern),
+    applied once per distinct finished string. A language's check counts
+    one evaluation on its counter, reported in the last step's entry of
+    ``eval_counts``; a callable's counts nothing. Raises AllDead if every
+    rollout fails.
     """
-    check = verifier if callable(verifier) else lambda s: s in verifier
     anything = DfaPattern(["q"], lm.alphabet, {"q": {ch: "q" for ch in lm.alphabet}}, ["q"])
+    if callable(verifier):
+        check = verifier
+    else:
+        anything.counter = verifier.counter
+
+        def check(s: str) -> bool:
+            verifier.counter.add(1)
+            return s in verifier
+
     return _run_smc(lm, anything, _prior, n, 0.0, seed, lm.max_len + 1, "multinomial", accept=check)
 
 

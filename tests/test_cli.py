@@ -11,7 +11,24 @@ from click.testing import CliRunner
 
 import zest
 from enumeration import likeliest
-from zest.cli import main
+from zest import smc
+from zest.cli import METHOD_OPTIONS, main
+
+# A valid value of every option that some method does not read.
+OPTION_VALUES = {
+    "language": "{aa,ba}",
+    "language_file": __file__,  # any existing file: the refusal comes before it is read
+    "pattern": json.dumps({"states": ["q"], "alphabet": ["a", "b"],
+                           "transitions": {"q": {"a": "q", "b": "q"}}, "accepting": ["q"]}),
+    "tau": 0.5,
+    "max_steps": 64,
+    "resample": "multinomial",
+    "sampler": "awrs",
+    "extra_loops": 1,
+    "theta0": 0.25,
+    "theta1": 0.75,
+    "budget": 8,
+}
 
 
 @pytest.fixture
@@ -75,10 +92,11 @@ class TestGenerate:
         model = tmp_path / "m.json"
         doc = {"alphabet": ["a"], "k": 0, "max_len": 70, "tables": {"": [1.0, 0.0]}}
         model.write_text(json.dumps(doc), encoding="utf-8")
+        # lm reads no constraint.
+        language = [] if method == "lm" else ["--language", "{" + "a" * 70 + "}"]
         out = run_json(
             runner,
-            ["generate", "--model", str(model), "--language", "{" + "a" * 70 + "}", "--method", method,
-             "--n", "50", "--seed", "1"],
+            ["generate", "--model", str(model), *language, "--method", method, "--n", "50", "--seed", "1"],
         )
         assert out["posterior_estimate"] == {"a" * 70: pytest.approx(1.0)}
         assert out["g_hat"] == 1.0
@@ -170,7 +188,7 @@ class TestGenerate:
     def test_run_descriptor_config(self, runner, tmp_path):
         desc = {
             "model": "example-a1", "language": "{aa,ba}", "method": "smc-awrs",
-            "N": 300, "tau": 0.5, "L": 1, "seed": 13, "max_steps": 16,
+            "N": 300, "tau": 0.5, "sampler": "wrs", "L": 1, "seed": 13, "max_steps": 16,
         }
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(desc), encoding="utf-8")
@@ -247,23 +265,44 @@ class TestExitCodes:
         result = runner.invoke(main, ["generate", *args])
         assert result.exit_code == 2, result.output
 
-    @pytest.mark.parametrize("option", ["max_steps", "tau", "resample"])
-    @pytest.mark.parametrize("method", ["lm", "lcd-mask", "lcd-ars", "sample-verify", "is"])
+    @pytest.mark.parametrize(
+        "method, option",
+        [(m, o) for m, reads in METHOD_OPTIONS.items() for o in OPTION_VALUES if o not in reads],
+        ids=lambda x: x,
+    )
     def test_option_the_method_ignores_is_two(self, runner, tmp_path, method, option):
-        # Only the SMC methods step and resample under these options. Even the
-        # default value, given explicitly, is refused, so a run descriptor
+        # Every option a method does not read is refused, the constraint for
+        # lm included. Even a valid value is refused, so a run descriptor
         # never names a setting the run did not use; null counts as absent.
-        value = {"max_steps": 64, "tau": 0.5, "resample": "multinomial"}[option]
+        value = OPTION_VALUES[option]
         base = [] if method == "lm" else ["--language", "{aa,ba}"]
         flag = f"--{option.replace('_', '-')}"
         result = runner.invoke(main, ["generate", "--method", method, *base, flag, str(value)])
-        assert result.exit_code == 2, result.output
+        assert result.exit_code == 2 and "does not read" in result.output, result.output
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({option: value}), encoding="utf-8")
         result = runner.invoke(main, ["generate", "--method", method, *base, "--config", str(cfg)])
-        assert result.exit_code == 2, result.output
+        assert result.exit_code == 2 and "does not read" in result.output, result.output
         cfg.write_text(json.dumps({option: None}), encoding="utf-8")
         assert run_json(runner, ["generate", "--method", method, *base, "--config", str(cfg), "--n", "5"])["n"] == 5
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "sampler, knob",
+        [(s, k) for s, (_, keys) in smc._KERNELS.items() for k in ("extra_loops", "theta0", "theta1", "budget")
+         if k not in keys],
+        ids=lambda x: x,
+    )
+    def test_knob_the_sampler_ignores_is_two(self, runner, tmp_path, sampler, knob, via):
+        values = {"language": "{aa,ba}", "method": "smc-awrs", "sampler": sampler, knob: OPTION_VALUES[knob]}
+        if via == "flag":
+            args = [x for k, v in values.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(values), encoding="utf-8")
+            args = ["--config", str(cfg)]
+        result = runner.invoke(main, ["generate", *args])
+        assert result.exit_code == 2 and "takes no" in result.output, result.output
 
     @pytest.mark.parametrize(
         "constraint",

@@ -22,7 +22,7 @@ def ab_lang():
 
 
 def accepted_set(c, vocab):
-    return {t for t in range(vocab) if c(t)}
+    return set(np.flatnonzero(c.evaluate_many(np.arange(vocab))).tolist())
 
 
 class TestTrieConstraint:
@@ -136,8 +136,7 @@ class TestDfaConstraint:
 class TestBlackbox:
     def test_always_true_counts(self):
         c = blackbox_constraint(lambda prefix, t: True)
-        for t in range(5):
-            assert c(t)
+        assert c.evaluate_many(np.arange(5)).all()
         assert c.eval_count == 5
 
     def test_even_ids(self):

@@ -1,4 +1,4 @@
-"""Categorical distributions, exact draws and support removal."""
+"""Categorical distributions and exact draws."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from zest.dist import Categorical, normalize, remove_renormalize, sample, sample_many
+from zest.dist import Categorical, normalize, sample, sample_many
 from zest.errors import AllZeroMass
 from zest.rng import make_rng
 
@@ -65,37 +65,6 @@ class TestSample:
         counts = np.bincount(draws, minlength=6)
         _, p = stats.chisquare(counts, dist.probs * 10**5)
         assert p > 1e-6
-
-
-class TestRemoveRenormalize:
-    def test_forced_arithmetic(self):
-        dist = Categorical(np.array([0.5, 0.3, 0.2]))
-        out = remove_renormalize(dist, {0})
-        np.testing.assert_allclose(out.probs, [0.0, 0.6, 0.4])
-
-    def test_empty_removal_is_identity(self):
-        dist = normalize([1, 2, 3])
-        np.testing.assert_allclose(remove_renormalize(dist, set()).probs, dist.probs)
-
-    def test_exhausting_support_raises(self):
-        with pytest.raises(AllZeroMass):
-            remove_renormalize(Categorical(np.array([0.5, 0.5])), {0, 1})
-
-    @given(
-        st.lists(st.floats(min_value=0.01, max_value=10), min_size=3, max_size=12),
-        st.data(),
-    )
-    @settings(max_examples=60)
-    def test_sequential_removal_commutes_with_union(self, weights, data):
-        dist = normalize(weights)
-        n = len(weights)
-        removable = list(range(n - 1))  # keep at least the last token
-        first = data.draw(st.sets(st.sampled_from(removable), max_size=n - 2))
-        rest = [i for i in removable if i not in first]
-        second = data.draw(st.sets(st.sampled_from(rest), max_size=len(rest)) if rest else st.just(set()))
-        step = remove_renormalize(remove_renormalize(dist, first), second) if (first or second) else dist
-        union = remove_renormalize(dist, first | second)
-        np.testing.assert_allclose(step.probs, union.probs, atol=1e-12)
 
 
 class TestRng:

@@ -23,7 +23,6 @@ from zest.oracle import token_mask
 from zest.rng import make_rng
 from zest import samplers
 from zest.samplers import (
-    SamplerConfig,
     ars_batch,
     awrs_batch,
     cawrs_batch,
@@ -35,6 +34,7 @@ from zest.samplers import (
     wrs_batch,
 )
 from zest.simharness import placed_mass_instance
+from zest.smc import weighted_proposal
 
 P3 = np.array([0.5, 0.3, 0.2])
 V3_LAST = np.array([False, False, True])
@@ -670,17 +670,17 @@ class TestDepletedPool:
         probs = np.full(vocab, 1e-3 / (vocab - 2))
         probs[:2] = [0.5, 0.499]
         prior = Categorical(probs)
-        rem = samplers._Removed(2001, prior.probs, prior.cumulative())
+        rem = samplers._Removed(2001, prior)
         rem.add(np.arange(2001), np.zeros(2001, dtype=np.int64))
         rem.add(np.array([0]), np.array([1]))
         drawn = []
-        draw_prior = samplers._draw_prior
+        draw_prior = samplers.sample_many
 
-        def counted(cum, n, rng):
+        def counted(dist, n, rng):
             drawn.append(n)
-            return draw_prior(cum, n, rng)
+            return draw_prior(dist, n, rng)
 
-        monkeypatch.setattr(samplers, "_draw_prior", counted)
+        monkeypatch.setattr(samplers, "sample_many", counted)
         out = rem.draw(np.arange(2001), make_rng(68))
         assert out[0] >= 2 and np.all(out[1:] != 0)
         assert sum(drawn) < 20_000
@@ -751,12 +751,15 @@ class TestDeterminismAndConfig:
         np.testing.assert_array_equal(a, b)
 
     def test_config_validation(self):
+        # The same range checks guard the kernels and weighted_proposal.
         with pytest.raises(ValueError):
-            SamplerConfig(extra_loops=0)
+            weighted_proposal("wrs", extra_loops=0)
         with pytest.raises(ValueError):
-            SamplerConfig(theta0=0.5, theta1=0.5)
+            weighted_proposal("cawrs", theta0=0.5, theta1=0.5)
         with pytest.raises(ValueError):
-            SamplerConfig(budget=0)
+            weighted_proposal("rawrs", budget=0)
+        with pytest.raises(ValueError):
+            gawrs_batch(Categorical(P3), c_of(V3_LAST), 1, make_rng(0), budget=0)
 
     def test_predicate_constraints_work_with_kernels(self):
         # Kernels must accept arbitrary (slow) predicate constraints too.

@@ -199,7 +199,10 @@ class TestProperlyWeightedEngine:
         assert abs(g_hats.mean() - 0.108) <= 3 * se + 1e-9
 
     def test_weighted_proposals_all_run(self, lm, lang):
-        for name in ("awrs", "wrs", "cwrs", "gawrs", "rawrs", "exact"):
+        for name in ("awrs", "wrs", "exact"):
+            ens = smc_pwp(lm, lang, proposal=name, n_particles=150, tau=0.5, seed=6)
+            assert set(ens.posterior_estimate) <= {"aa", "ba"}
+        for name in ("cwrs", "gawrs", "rawrs"):
             ens = smc_pwp(lm, lang, proposal=name, n_particles=150, tau=0.5, seed=6, budget=4)
             assert set(ens.posterior_estimate) <= {"aa", "ba"}
         ens = smc_pwp(lm, lang, proposal="cawrs", n_particles=150, tau=0.5, seed=6, theta0=0.4, theta1=0.8)
@@ -242,6 +245,33 @@ class TestProperlyWeightedEngine:
     def test_unknown_proposal(self):
         with pytest.raises(KeyError):
             weighted_proposal("nope")
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("awrs", {"budget": 4}),
+            ("awrs", {"budget": 0}),
+            ("exact", {"budget": 0}),
+            ("wrs", {"theta0": 0.1}),
+            ("rawrs", {"extra_loops": 2}),
+            ("cawrs", {"theta0": 0.9}),  # past the default theta1 of 0.75
+        ],
+        ids=lambda x: x if isinstance(x, str) else ",".join(f"{k}={v}" for k, v in x.items()),
+    )
+    def test_inapplicable_or_out_of_range_knob_raises(self, name, params):
+        with pytest.raises(ValueError):
+            weighted_proposal(name, **params)
+
+    def test_smc_pwp_refuses_knobs_before_any_draw(self, lm, lang):
+        def never(prior, c, n, rng):
+            raise AssertionError("drew")
+
+        before = lang.counter.count
+        with pytest.raises(ValueError):
+            smc_pwp(lm, lang, "awrs", budget=4, theta0=0.1)
+        with pytest.raises(ValueError):
+            smc_pwp(lm, lang, never, budget=0)
+        assert lang.counter.count == before
 
 
 class TestGroupedEngine:
@@ -373,6 +403,15 @@ class TestSampleVerify:
     def test_always_true_verifier(self, lm):
         ens = sample_verify(lm, lambda s: True, n=200, seed=16)
         assert ens.g_hat == pytest.approx(1.0)
+        assert ens.eval_count == 0
+
+    def test_language_check_counts_once_per_distinct_string(self, lm, lang):
+        before = lang.counter.count
+        ens = sample_verify(lm, lang, n=500, seed=18)
+        distinct = len(set(ens.prefixes))
+        assert distinct > 1
+        assert ens.eval_count == lang.counter.count - before == distinct
+        assert ens.eval_counts[:-1] == [0] * (ens.steps - 1)
 
     def test_always_false_raises(self, lm):
         with pytest.raises(AllDead):
