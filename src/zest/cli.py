@@ -28,7 +28,7 @@ from .toylm import BUILTIN_MODELS, ToyLM, builtin_model
 # --out, which every run reads. An option given to a method that does not
 # read it exits 2, so no run descriptor names a setting its run ignored.
 _CONSTRAINT = ("language", "language_file", "pattern")
-_STEPS = ("tau", "max_steps", "resample")
+_STEPS = ("tau", "resample")
 _SAMPLER = ("sampler", "extra_loops", "theta0", "theta1", "budget")
 METHOD_OPTIONS = {
     "lm": (),
@@ -117,7 +117,7 @@ _CONFIG_KEYS = {
     "pattern": "pattern", "method": "method", "sampler": "sampler",
     "N": "n", "n": "n", "tau": "tau", "L": "extra_loops", "extra_loops": "extra_loops",
     "theta0": "theta0", "theta1": "theta1", "R": "budget", "budget": "budget",
-    "top_p": "top_p", "max_steps": "max_steps", "resample": "resample",
+    "top_p": "top_p", "resample": "resample",
     "seed": "seed", "out": "out",
 }
 
@@ -155,7 +155,6 @@ def _apply_config(ctx, path, values: dict):
 @click.option("--theta1", type=float, default=None)
 @click.option("--budget", "-R", type=int, default=None)
 @click.option("--top-p", type=float, default=None)
-@click.option("--max-steps", type=int, default=None)
 @click.option("--resample", type=click.Choice(list(smc._RESAMPLERS)), default=None)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, help="Write result JSON here instead of stdout.")

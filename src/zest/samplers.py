@@ -35,6 +35,8 @@ the vocabulary size is drawn by an exact O(V) inverse CDF.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +67,15 @@ def check_knobs(**knobs) -> None:
     The one range check of each knob, shared by the kernels and
     ``smc.weighted_proposal``: ``extra_loops`` (L, the extra
     with-replacement loops) and ``budget`` (R, the cap on failed
-    constraint calls) must be >= 1; the clipping thresholds, given as a
-    pair, must satisfy ``0 < theta0 < theta1 < 1``. A knob's default lives
-    on the signature of each kernel that takes it.
+    constraint calls) must be whole numbers >= 1; the clipping thresholds,
+    given as a pair, must satisfy ``0 < theta0 < theta1 < 1``. A knob's
+    default lives on the signature of each kernel that takes it.
     """
     for key in ("extra_loops", "budget"):
-        if key in knobs and knobs[key] < 1:
-            raise ValueError(f"{key} must be >= 1")
+        if key in knobs:
+            value = knobs[key]
+            if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= 1):
+                raise ValueError(f"{key} must be a whole number >= 1, not {value!r}")
     if "theta0" in knobs and not (0.0 < knobs["theta0"] < knobs["theta1"] < 1.0):
         raise ValueError("need 0 < theta0 < theta1 < 1")
 
@@ -269,40 +273,67 @@ def _cat_weighted(parts: list[BatchWeighted]) -> BatchWeighted:
 
 
 # ---------------------------------------------------------------------------
-# Simple rejection sampling (with replacement)
+# Rejection sampling with replacement: rs, wrs and cwrs
 
 
 def _check_support(prior: Categorical, c: TokenConstraint, rounds: int):
     """Raise NoValidToken at the V-th round of a call if no supported token is valid.
 
-    A with-replacement loop has no pool that runs out at z = 0, so this
-    is its only exit then. It fires once per call, draws no random
-    numbers, and its evaluations count on the constraint's counter but
-    on no run's ``trials``; a call that ends within V rounds skips it.
+    A with-replacement loop without a rejection budget has no other exit
+    at z = 0. It fires once per call, draws no random numbers, and its
+    evaluations count on the constraint's counter but on no run's
+    ``trials``; a call that ends within V rounds skips it.
     """
     if rounds == prior.vocab_size and not c.evaluate_many(prior.support()).any():
         raise NoValidToken("no token with prior mass is valid (z = 0)")
 
 
-def rs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchTokens:
-    """Draw from the prior until the constraint accepts, per run.
+def _budgeted(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator, L: int, R: float):
+    """Draw from the prior with replacement, per run, until L + 1 acceptances or R rejections.
 
-    There is deliberately no iteration cap (bounding cost is the job of
-    the budgeted variants); at z = 0 it raises NoValidToken after V rounds.
+    ``R`` may be ``math.inf``; then a call still running at its V-th round
+    checks the prior's support (``_check_support``). Returns per run the
+    first accepted token (the first draw when none was accepted), the
+    constraint evaluations, and the acceptance and rejection counts.
     """
-    tokens = np.full(n, -1, dtype=np.int64)
-    trials = np.zeros(n, dtype=np.int64)
+    tokens = np.empty(n, dtype=np.int64)
+    trials = np.empty(n, dtype=np.int64)
+    s = np.empty(n, dtype=np.int64)
     alive = np.arange(n)
+    # Acceptances of the running runs, aligned with ``alive``; a running
+    # run has drawn once per round, so its trials are the round count.
+    got = np.zeros(n, dtype=np.int64)
+    capped = R < math.inf
     rounds = 0
     while alive.size:
         cand = sample_many(prior, alive.size, rng)
         ok = c.evaluate_many(cand)
-        trials[alive] += 1
-        tokens[alive[ok]] = cand[ok]
-        alive = alive[~ok]
+        if rounds == 0:
+            tokens[:] = cand
         rounds += 1
-        if alive.size:
+        got += ok
+        first = ok & (got == 1)
+        tokens[alive[first]] = cand[first]
+        stop = got > L
+        if capped:
+            stop |= rounds - got >= R
+        done = alive[stop]
+        s[done] = got[stop]
+        trials[done] = rounds
+        alive, got = alive[~stop], got[~stop]
+        if alive.size and not capped:
             _check_support(prior, c, rounds)
+    return tokens, trials, s, trials - s
+
+
+def rs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchTokens:
+    """Draw from the prior until the constraint accepts, per run.
+
+    The budgeted loop at (L, R) = (0, inf): there is deliberately no
+    iteration cap (bounding cost is the job of the budgeted variants); at
+    z = 0 it raises NoValidToken after V rounds.
+    """
+    tokens, trials, _, _ = _budgeted(prior, c, n, rng, 0, math.inf)
     return BatchTokens(tokens=tokens, trials=trials)
 
 
@@ -347,33 +378,15 @@ def wrs_batch(
 ) -> BatchWeighted:
     """Run L + 1 rejection loops and estimate z from the rejection count.
 
-    The accepted token of the first loop is returned. With ``nrej`` total
-    rejections across the loops, ``zhat = L / (nrej + L)``, the minimum-
-    variance unbiased estimator of z for the induced negative-binomial
-    trial count. At z = 0 it raises NoValidToken after V rounds.
+    The budgeted loop at (L, inf). The accepted token of the first loop is
+    returned. With ``nrej`` total rejections across the loops,
+    ``zhat = L / (nrej + L)``, the minimum-variance unbiased estimator of z
+    for the induced negative-binomial trial count. At z = 0 it raises
+    NoValidToken after V rounds.
     """
     check_knobs(extra_loops=extra_loops)
     L = int(extra_loops)
-    tokens = np.full(n, -1, dtype=np.int64)
-    trials = np.zeros(n, dtype=np.int64)
-    nrej = np.zeros(n, dtype=np.int64)
-    loops_done = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
-    rounds = 0
-    while alive.size:
-        cand = sample_many(prior, alive.size, rng)
-        ok = c.evaluate_many(cand)
-        trials[alive] += 1
-        acc = alive[ok]
-        acc_cand = cand[ok]
-        newly = loops_done[acc] == 0
-        tokens[acc[newly]] = acc_cand[newly]
-        loops_done[acc] += 1
-        nrej[alive[~ok]] += 1
-        alive = alive[~(ok & (loops_done[alive] == L + 1))]
-        rounds += 1
-        if alive.size:
-            _check_support(prior, c, rounds)
+    tokens, trials, _, nrej = _budgeted(prior, c, n, rng, L, math.inf)
     return BatchWeighted(tokens=tokens, zhats=L / (nrej + L), trials=trials)
 
 
@@ -562,39 +575,17 @@ def cwrs_batch(
 ) -> BatchWeighted:
     """Weighted rejection sampling stopped at a rejection budget.
 
-    Draw with replacement until either L + 1 acceptances or R = budget
-    rejections have been seen, so no run ever exceeds R failed plus L + 1
+    The budgeted loop at (L, R): draw with replacement until either L + 1
+    acceptances or R = budget rejections have been seen, so no run ever exceeds R failed plus L + 1
     passed constraint calls. Returns the first accepted token, or the
     first draw with ``zhat = 0`` when nothing was accepted. ``zhat`` stays
     unbiased for z under the stopped counts.
     """
     check_knobs(extra_loops=extra_loops, budget=budget)
     L, R = int(extra_loops), int(budget)
-    s = np.zeros(n, dtype=np.int64)
-    r = np.zeros(n, dtype=np.int64)
-    first_tok = np.full(n, -1, dtype=np.int64)
-    x1 = np.full(n, -1, dtype=np.int64)
-    trials = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
-    first_wave = True
-    while alive.size:
-        cand = sample_many(prior, alive.size, rng)
-        ok = c.evaluate_many(cand)
-        trials[alive] += 1
-        if first_wave:
-            x1[alive] = cand
-            first_wave = False
-        acc = alive[ok]
-        acc_cand = cand[ok]
-        newly = first_tok[acc] < 0
-        s[acc] += 1
-        first_tok[acc[newly]] = acc_cand[newly]
-        r[alive[~ok]] += 1
-        alive = alive[~((ok & (s[alive] == L + 1)) | (~ok & (r[alive] == R)))]
+    tokens, trials, s, r = _budgeted(prior, c, n, rng, L, R)
     assert np.all(r <= R) and np.all(s <= L + 1)
-    zhats = _cwrs_estimate(s, r, L, R)
-    tokens = np.where(s > 0, first_tok, x1)
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
+    return BatchWeighted(tokens=tokens, zhats=_cwrs_estimate(s, r, L, R), trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: methods, exit codes, reproducibility."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -21,7 +22,6 @@ OPTION_VALUES = {
     "pattern": json.dumps({"states": ["q"], "alphabet": ["a", "b"],
                            "transitions": {"q": {"a": "q", "b": "q"}}, "accepting": ["q"]}),
     "tau": 0.5,
-    "max_steps": 64,
     "resample": "multinomial",
     "sampler": "awrs",
     "extra_loops": 1,
@@ -85,10 +85,10 @@ class TestGenerate:
         )
         assert tv < 0.05
 
-    @pytest.mark.parametrize("method", ["lm", "sample-verify", "lcd-ars", "lcd-mask"])
+    @pytest.mark.parametrize("method", ["lm", "sample-verify", "lcd-ars", "lcd-mask", "smc-awrs", "smc-twist"])
     def test_rollouts_reach_the_model_length(self, runner, tmp_path, method):
-        # End-of-string has no mass before max_len = 70, past the default --max-steps of 64:
-        # these methods run to the model's own length cap.
+        # End-of-string has no mass before max_len = 70: every method runs
+        # each rollout to the model's own length cap, 71 steps.
         model = tmp_path / "m.json"
         doc = {"alphabet": ["a"], "k": 0, "max_len": 70, "tables": {"": [1.0, 0.0]}}
         model.write_text(json.dumps(doc), encoding="utf-8")
@@ -188,7 +188,7 @@ class TestGenerate:
     def test_run_descriptor_config(self, runner, tmp_path):
         desc = {
             "model": "example-a1", "language": "{aa,ba}", "method": "smc-awrs",
-            "N": 300, "tau": 0.5, "sampler": "wrs", "L": 1, "seed": 13, "max_steps": 16,
+            "N": 300, "tau": 0.5, "sampler": "wrs", "L": 1, "seed": 13,
         }
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(desc), encoding="utf-8")
@@ -244,13 +244,13 @@ class TestExitCodes:
         "bad",
         [
             {"top_p": 0},
+            {"max_steps": 0},  # no longer an option at all, so refused whatever its value
             {"extra_loops": 0, "sampler": "wrs"},
             {"budget": 0, "sampler": "cwrs"},
             {"theta0": 0.5, "theta1": 0.5, "sampler": "cawrs"},
             {"tau": 1.5},
             {"n": 0},
             {"n": 0, "method": "is"},
-            {"max_steps": 0},
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -286,11 +286,22 @@ class TestExitCodes:
         cfg.write_text(json.dumps({option: None}), encoding="utf-8")
         assert run_json(runner, ["generate", "--method", method, *base, "--config", str(cfg), "--n", "5"])["n"] == 5
 
+    @pytest.mark.parametrize("method", list(METHOD_OPTIONS))
+    def test_max_steps_is_two(self, runner, tmp_path, method):
+        # Every rollout runs until the model ends it, so no method takes a step cap.
+        base = [] if method == "lm" else ["--language", "{aa,ba}"]
+        result = runner.invoke(main, ["generate", "--method", method, *base, "--max-steps", "5"])
+        assert result.exit_code == 2, result.output
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"max_steps": 5}), encoding="utf-8")
+        result = runner.invoke(main, ["generate", "--method", method, *base, "--config", str(cfg)])
+        assert result.exit_code == 2 and "max_steps" in result.output, result.output
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize(
         "sampler, knob",
-        [(s, k) for s, (_, keys) in smc._KERNELS.items() for k in ("extra_loops", "theta0", "theta1", "budget")
-         if k not in keys],
+        [(s, k) for s, kernel in smc._KERNELS.items() for k in ("extra_loops", "theta0", "theta1", "budget")
+         if kernel is None or k not in inspect.signature(kernel).parameters],
         ids=lambda x: x,
     )
     def test_knob_the_sampler_ignores_is_two(self, runner, tmp_path, sampler, knob, via):

@@ -761,6 +761,19 @@ class TestDeterminismAndConfig:
         with pytest.raises(ValueError):
             gawrs_batch(Categorical(P3), c_of(V3_LAST), 1, make_rng(0), budget=0)
 
+    @pytest.mark.parametrize("knob", ["extra_loops", "budget"])
+    @pytest.mark.parametrize("value", [1.5, 2.5, float("inf"), float("nan"), "2"])
+    def test_knob_must_be_a_whole_number(self, knob, value):
+        # A fractional L or R would otherwise be truncated to one the run did not name.
+        with pytest.raises(ValueError, match=knob):
+            cwrs_batch(Categorical(P3), c_of(V3_LAST), 1, make_rng(0), **{knob: value})
+        with pytest.raises(ValueError, match=knob):
+            weighted_proposal("gawrs", **{knob: value})
+        np.testing.assert_array_equal(
+            cwrs_batch(Categorical(P5), c_of(V5), 64, make_rng(1), **{knob: 3.0}).zhats,
+            cwrs_batch(Categorical(P5), c_of(V5), 64, make_rng(1), **{knob: 3}).zhats,
+        )
+
     def test_predicate_constraints_work_with_kernels(self):
         # Kernels must accept arbitrary (slow) predicate constraints too.
         c = blackbox_constraint(lambda prefix, t: t == 2)

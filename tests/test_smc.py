@@ -255,6 +255,8 @@ class TestProperlyWeightedEngine:
             ("wrs", {"theta0": 0.1}),
             ("rawrs", {"extra_loops": 2}),
             ("cawrs", {"theta0": 0.9}),  # past the default theta1 of 0.75
+            ("wrs", {"extra_loops": 1.5}),
+            ("cwrs", {"budget": 2.5}),
         ],
         ids=lambda x: x if isinstance(x, str) else ",".join(f"{k}={v}" for k, v in x.items()),
     )
@@ -271,6 +273,14 @@ class TestProperlyWeightedEngine:
             smc_pwp(lm, lang, "awrs", budget=4, theta0=0.1)
         with pytest.raises(ValueError):
             smc_pwp(lm, lang, never, budget=0)
+        assert lang.counter.count == before
+
+    def test_unknown_resample_raises_before_any_draw(self, lm, lang):
+        before = lang.counter.count
+        with pytest.raises(ValueError, match="multinomial"):
+            smc_twist(lm, lang, 10, resample="bogus")
+        with pytest.raises(ValueError, match="stratified"):
+            smc_pwp(lm, lang, "awrs", 10, resample="bogus")
         assert lang.counter.count == before
 
 
@@ -318,12 +328,27 @@ class TestGroupedEngine:
         assert ens.posterior_estimate["ba"] == pytest.approx(1.0)
 
 
+class TestRolloutLength:
+    @pytest.mark.parametrize(
+        "engine",
+        [lambda lm, lang: smc_pwp(lm, lang, "awrs", 50, seed=1), lambda lm, lang: smc_twist(lm, lang, 50, seed=1)],
+        ids=["smc_pwp", "smc_twist"],
+    )
+    def test_rollouts_run_until_the_model_ends_them(self, engine):
+        # End-of-string has no mass before max_len = 70: every particle must
+        # run 71 steps, past any fixed step cap, to complete its string.
+        lm = ToyLM(("a",), 0, 70, {"": np.array([1.0, 0.0])})
+        ens = engine(lm, TrieLanguage(["a" * 70], alphabet=lm.alphabet))
+        assert ens.g_hat == 1.0
+        assert ens.steps == 71
+        assert ens.posterior_estimate == {"a" * 70: pytest.approx(1.0)}
+
+
 class TestEnsembleArrays:
     """The population arrays, the Particle view and the estimates agree."""
 
     ENGINES = {
         "smc_pwp": lambda lm, lang: smc_pwp(lm, lang, "awrs", 300, tau=0.5, seed=80),
-        "smc_pwp_cutoff": lambda lm, lang: smc_pwp(lm, lang, "awrs", 300, tau=0.5, seed=81, max_steps=2),
         "smc_twist": lambda lm, lang: smc_twist(lm, lang, 300, tau=0.5, seed=82),
         "importance_sample": lambda lm, lang: importance_sample(lm, lang, 300, seed=83),
         "sample_verify": lambda lm, lang: sample_verify(lm, lang, 300, seed=84),
