@@ -22,15 +22,28 @@ accumulator, so long runs do not drift. A pool whose remaining mass is
 below 1e-6 of the prior's total is summed from its surviving tokens
 instead, so a small z never cancels to a zero estimate. Batches run in
 chunks of at most 32 MiB of packed pool, one after another on the same
-random stream.
+random stream. A pool of at least 1 MiB takes the bit buffer that the last
+such pool released, rezeroed, so a loop of large-vocabulary calls keeps
+one pool buffer rather than freeing and allocating one per call: a freed
+pool leaves a hole in the heap that the caller's kept outputs fill, and
+the next pool then grows the heap by a whole pool, so the peak memory of
+a caller that keeps its outputs rose in pool-sized steps. The spare
+buffer, at most one chunk's pool, stays allocated between calls.
 
 A draw from a depleted pool is a draw from the prior that skips removed
-tokens: rejection from the prior, hence exact. A row that hits a removed
-token is redrawn in rounds; each round draws enough candidates for the
-row's removed mass that the row stays unserved with probability at most
-e^-2, so a heavily depleted pool costs a few vectorized rounds rather
-than many single redraws. Only a pool whose batch would reach a sixth of
-the vocabulary size is drawn by an exact O(V) inverse CDF.
+tokens: rejection from the prior, hence exact; until a call removes its
+first token, it is a plain prior draw that checks no bits. A row that
+hits a removed token is redrawn in rounds; each round draws enough
+candidates for the row's removed mass that the row stays unserved with
+probability at most e^-2, so a heavily depleted pool costs a few
+vectorized rounds rather than many single redraws. Only a pool whose
+batch would reach a sixth of the vocabulary size is drawn by an exact
+O(V) inverse CDF: the first of the row's cumulative pool masses above
+its scaled uniform, read at V <= 8 from a table of every possible pool.
+
+Each kernel loop runs in rounds, one draw per running run per round, so
+the ``awrs`` loop takes a run's trial count as the round it ends in
+rather than counting per run every round.
 """
 
 from __future__ import annotations
@@ -116,6 +129,21 @@ _SMALL_POOL = 1e-6
 # Cells per block of the exact draw's (rows x V) float temporaries and of
 # a redraw round's candidates: near 2**21 cells (16 MiB each).
 _BLOCK_CELLS = 1 << 21
+# A pool of at least this many bytes takes its bits from the spare buffer
+# that the last such pool released; a smaller pool leaves at most a 1 MiB
+# hole in the heap, and is allocated per call. ``_spare`` holds at most one
+# buffer; ``list.pop`` hands it to one pool at a time, across threads too.
+_SPARE_MIN_BYTES = 1 << 20
+_spare: list[np.ndarray] = []
+
+
+def _take_spare(size: int) -> np.ndarray:
+    """A flat uint8 buffer of at least ``size`` bytes: the spare if it is large enough."""
+    try:
+        buf = _spare.pop()
+    except IndexError:
+        return np.empty(size, dtype=np.uint8)
+    return buf if buf.size >= size else np.empty(size, dtype=np.uint8)
 
 
 class _Removed:
@@ -130,19 +158,40 @@ class _Removed:
         self.probs = prior.probs
         # A pairwise sum: at V = 1e5 the sequential cumulative total is off by up to 2.3e-12.
         self.total = float(self.probs.sum())
-        self.bits = np.zeros((n_runs, (prior.vocab_size + 7) >> 3), dtype=np.uint8)
+        cols = (prior.vocab_size + 7) >> 3
+        size = n_runs * cols
+        if size < _SPARE_MIN_BYTES:
+            self._buf = None
+            self.bits = np.zeros((n_runs, cols), dtype=np.uint8)
+        else:
+            self._buf = _take_spare(size)
+            self.bits = self._buf[:size].reshape(n_runs, cols)
+            self.bits.fill(0)
         self.mass = np.zeros(n_runs)
         self._comp = np.zeros(n_runs)
+        # False until a token is removed: a draw from untouched pools is a
+        # plain prior draw and checks no removed bits.
+        self.depleted = False
+        # At V <= 8, the cumulative pool of every byte of removed bits.
+        self._byte_pools = None
+
+    def release(self):
+        """Hand a large pool's bit buffer to the next large pool; this pool is unusable after."""
+        if self._buf is not None:
+            _spare[:] = [self._buf]
+        self._buf = self.bits = None
 
     def add(self, rows: np.ndarray, tokens: np.ndarray):
         if rows.size == 0:
             return
+        self.depleted = True
         # Rows are distinct within every call, so no two updates of this
         # fancy-indexed |= hit the same byte and none is lost.
         self.bits[rows, tokens >> 3] |= _BIT[tokens & 7]
+        mass = self.mass[rows]
         y = self.probs[tokens] - self._comp[rows]
-        t = self.mass[rows] + y
-        self._comp[rows] = (t - self.mass[rows]) - y
+        t = mass + y
+        self._comp[rows] = (t - mass) - y
         self.mass[rows] = t
 
     def left(self, rows: np.ndarray) -> np.ndarray:
@@ -175,6 +224,8 @@ class _Removed:
         e^-1.
         """
         out = sample_many(self.prior, rows.shape[0], rng)
+        if not self.depleted:
+            return out
         pending = self._removed(rows, out).nonzero()[0]
         vocab = self.probs.shape[0]
         while pending.size:
@@ -196,6 +247,8 @@ class _Removed:
             if exact.any():
                 out[pending[exact]] = self._draw_exact(rows[pending[exact]], rng)
                 pending, depth = pending[~exact], depth[~exact]
+                if pending.size == 0:
+                    break
             k = np.ceil(2.0 / depth).astype(np.int64)
             hit = np.zeros(pending.shape[0], dtype=bool)
             # Blocks bound the candidate cells; drawn in order, they use the
@@ -230,6 +283,19 @@ class _Removed:
         removed = np.unpackbits(self.bits[rows], axis=1, count=vocab, bitorder="little")
         return np.where(removed, 0.0, self.probs[None, :])
 
+    def _cum_pools(self, rows: np.ndarray) -> np.ndarray:
+        """(rows x V) cumulative prior masses over each row's pool."""
+        vocab = self.probs.shape[0]
+        if vocab > 8:
+            return np.cumsum(self._pool(rows), axis=1)
+        # A pool of at most 8 tokens is fixed by its row's one byte, so the
+        # rows gather from the cumulative pools of every byte value.
+        if self._byte_pools is None:
+            byte = np.arange(1 << vocab, dtype=np.uint8)[:, None]
+            removed = np.unpackbits(byte, axis=1, count=vocab, bitorder="little")
+            self._byte_pools = np.cumsum(np.where(removed, 0.0, self.probs[None, :]), axis=1)
+        return self._byte_pools[self.bits[rows, 0]]
+
     def _draw_exact(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         vocab = self.probs.shape[0]
         u = rng.random(rows.shape[0])
@@ -237,15 +303,17 @@ class _Removed:
         step = max(1, _BLOCK_CELLS // vocab)
         for lo in range(0, rows.shape[0], step):
             block = slice(lo, lo + step)
-            c = np.cumsum(self._pool(rows[block]), axis=1)
+            c = self._cum_pools(rows[block])
             tot = c[:, -1]
-            if np.any(tot <= 0.0):
+            if (tot <= 0.0).any():
                 raise NoValidToken("every positive-mass token was rejected (z = 0?)")
-            # A denormal pool can round u up to tot, where the clamp below
-            # would return the last token even if it was removed.
+            # A denormal pool can round u up to tot; keeping ub below tot
+            # leaves a crossing in every row, never past the last positive token.
             ub = np.minimum(u[block] * tot, np.nextafter(tot, 0.0))
-            out[block] = np.sum(c <= ub[:, None], axis=1)
-        return np.minimum(out, vocab - 1)
+            # Each row of c is nondecreasing, so its first crossing of ub is
+            # the count of entries <= ub.
+            out[block] = (c > ub[:, None]).argmax(axis=1)
+        return out
 
 
 def _chunks(n: int, vocab: int) -> list[int]:
@@ -258,6 +326,8 @@ def _chunks(n: int, vocab: int) -> list[int]:
 
 
 def _cat_tokens(parts: list[BatchTokens]) -> BatchTokens:
+    if len(parts) == 1:
+        return parts[0]
     return BatchTokens(
         tokens=np.concatenate([p.tokens for p in parts]),
         trials=np.concatenate([p.trials for p in parts]),
@@ -265,6 +335,8 @@ def _cat_tokens(parts: list[BatchTokens]) -> BatchTokens:
 
 
 def _cat_weighted(parts: list[BatchWeighted]) -> BatchWeighted:
+    if len(parts) == 1:
+        return parts[0]
     return BatchWeighted(
         tokens=np.concatenate([p.tokens for p in parts]),
         zhats=np.concatenate([p.zhats for p in parts]),
@@ -353,6 +425,7 @@ def _ars_chunk(prior, c, n, rng) -> BatchTokens:
         tokens[alive[ok]] = cand[ok]
         rem.add(alive[~ok], cand[~ok])
         alive = alive[~ok]
+    rem.release()
     return BatchTokens(tokens=tokens, trials=trials)
 
 
@@ -396,29 +469,37 @@ def wrs_batch(
 
 def _awrs_chunk(prior, c, n, rng) -> BatchWeighted:
     rem = _Removed(n, prior)
-    tokens = np.full(n, -1, dtype=np.int64)
-    trials = np.zeros(n, dtype=np.int64)
+    tokens = np.empty(n, dtype=np.int64)
+    trials = np.empty(n, dtype=np.int64)
     nrej = np.zeros(n, dtype=np.int64)
     left0 = np.zeros(n)
-    in_second = np.zeros(n, dtype=bool)
     alive = np.arange(n)
+    # Whether each running run is in its second loop, aligned with ``alive``.
+    # A running run draws once per round, so its trials are the round it ends in.
+    second = np.zeros(n, dtype=bool)
+    rounds = 0
     while alive.size:
         cand = rem.draw(alive, rng)
         ok = c.evaluate_many(cand)
-        trials[alive] += 1
-        second = in_second[alive]
+        rounds += 1
         # First-loop acceptance: keep the token, snapshot the pool mass,
         # and continue into the confirmation loop (acceptances are replaced,
         # so the token stays in the pool).
-        first_acc = alive[ok & ~second]
-        tokens[first_acc] = cand[ok & ~second]
-        left0[first_acc] = rem.left(first_acc)
-        in_second[first_acc] = True
+        first = ok & ~second
+        first_rows = alive[first]
+        tokens[first_rows] = cand[first]
+        left0[first_rows] = rem.left(first_rows)
         # Rejections are unique: remove them for both loops.
-        rej_rows = alive[~ok]
-        rem.add(rej_rows, cand[~ok])
+        rej = ~ok
+        rej_rows = alive[rej]
+        rem.add(rej_rows, cand[rej])
         nrej[rej_rows] += 1
-        alive = alive[~(ok & second)]
+        # A second-loop acceptance ends the run.
+        done = ok & second
+        trials[alive[done]] = rounds
+        keep = ~done
+        alive, second = alive[keep], (second | ok)[keep]
+    rem.release()
     return BatchWeighted(tokens=tokens, zhats=left0 / (nrej + 1.0), trials=trials)
 
 
@@ -519,6 +600,7 @@ def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
         over1 = rem.mass[rows1] > theta1
         finish(rows1[over1], boosted[rej1][over1])
 
+    rem.release()
     return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
 
 
@@ -637,6 +719,7 @@ def _gawrs_chunk(prior, c, n, rng, L, R) -> BatchWeighted:
     assert np.all(failed <= R) and np.all(s <= L + 1)
     zhats = _cwrs_estimate(s, np.minimum(r, R), L, R)
     tokens = np.where(s > 0, first_tok, x1)
+    rem.release()
     return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
 
 
@@ -743,6 +826,7 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
         zhats[probing] = np.where(ok, eta_n[probing], q_n[probing] * eta_n[probing])
 
     assert np.all(failed <= R)
+    rem.release()
     return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
 
 

@@ -20,15 +20,19 @@ weight and an active flag. A node indexes a per-run table of prefix
 strings, and particles with equal prefixes share one node: a node is
 extended at one step only, once per distinct token, so no prefix is
 ever built twice. At every step the live particles are grouped by node
-with one stable sort: their next-token law and local constraint depend
-on the prefix alone, so each group costs one model call, one constraint
-derivation and one batch proposal call for all of its particles, and
-the particle work between those calls is array operations. Resampling
-copies node ids. The group of rank r in sorted-prefix order at step t
-draws from the counter-based stream (seed, 0, t, r), its rows in
-ascending order, so results depend on the seed only, never on hash,
-iteration or node order. Resampling draws from the separate stream
-(seed, 1).
+with one stable sort, each group a slice of the sorted rows: their
+next-token law and local constraint depend on the prefix alone, so each
+group costs one model call, one constraint derivation and one batch
+proposal call for all of its particles, and the particle work between
+those calls is array operations. A group whose rollouts all ended makes
+no child nodes. Resampling copies node ids. The group of rank r in
+sorted-prefix order at step t draws from the counter-based stream
+(seed, 0, t, r), its rows in ascending order, so results depend on the
+seed only, never on hash, iteration or node order. Resampling draws from
+the separate stream (seed, 1); multinomial resampling is
+``Generator.choice``'s draw with its uniforms searched in sorted order.
+The ESS is taken on the weights over their maximum, so weights too small
+to square still resample correctly.
 """
 
 from __future__ import annotations
@@ -107,13 +111,19 @@ class Ensemble:
 
 
 def ess(weights) -> float:
-    """Effective sample size W^2 / sum(w^2); in [1, N] when any w > 0."""
+    """Effective sample size W^2 / sum(w^2); in [1, N] when any w > 0.
+
+    Computed on the weights over their maximum, so weights too small to
+    square (below about 1e-154) still give it; raises AllDead only when
+    every weight is zero.
+    """
     w = np.asarray(weights, dtype=np.float64)
-    total = float(w.sum())
-    sq = float(np.sum(w * w))
-    if sq <= 0.0:
+    top = float(w.max())
+    if top <= 0.0:
         raise AllDead("all weights are zero")
-    return total * total / sq
+    w = w / top
+    total = float(w.sum())
+    return total * total / float((w * w).sum())
 
 
 def _normalized(weights) -> np.ndarray:
@@ -125,10 +135,23 @@ def _normalized(weights) -> np.ndarray:
 
 
 def resample_multinomial(weights, rng: np.random.Generator) -> np.ndarray:
-    """N independent ancestor indices drawn proportional to weight."""
+    """N independent ancestor indices drawn proportional to weight.
+
+    Returns what ``rng.choice(n, size=n, p=p)`` would, from the same ``n``
+    uniforms: the cumulative weights are scaled by their last entry and
+    searched to the right of each uniform. The uniforms are searched in
+    sorted order, which is faster, and each index goes back to its
+    uniform's place.
+    """
     p = _normalized(weights)
     n = p.shape[0]
-    return rng.choice(n, size=n, p=p)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    order = np.argsort(u)
+    idx = np.empty(n, dtype=np.int64)
+    idx[order] = np.searchsorted(cdf, u[order], side="right")
+    return idx
 
 
 def resample_stratified(weights, rng: np.random.Generator) -> np.ndarray:
@@ -227,7 +250,7 @@ def _finalize(
         sums = np.bincount(node, weights / total, minlength=len(strings))
         post = {strings[k]: float(sums[k]) for k in np.flatnonzero(sums > 0).tolist()}
     return Ensemble(
-        prefixes=[strings[k] for k in node.tolist()],
+        prefixes=np.array(strings, dtype=object)[node].tolist(),
         weights=weights,
         g_hat=total / node.shape[0],
         posterior_estimate=dict(sorted(post.items())),
@@ -282,10 +305,13 @@ def _run_smc(
         # A stable sort by node groups the live rows, each group ascending.
         by_node = live[np.argsort(node[live], kind="stable")]
         keys = node[by_node]
-        groups = np.split(by_node, np.flatnonzero(keys[1:] != keys[:-1]) + 1)
-        groups.sort(key=lambda rows: strings[node[rows[0]]])
-        for rank, rows in enumerate(groups):
-            prefix = strings[node[rows[0]]]
+        cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+        starts, ends = [0, *cuts], [*cuts, by_node.shape[0]]
+        # Each group is a slice of by_node; ranks follow the sorted prefixes.
+        groups = sorted(zip(keys[starts].tolist(), starts, ends), key=lambda g: strings[g[0]])
+        for rank, (k, lo, hi) in enumerate(groups):
+            rows = by_node[lo:hi]
+            prefix = strings[k]
             prior = lm.next_dist(prefix)
             c = family.constraint_at(prefix)
             try:
@@ -296,17 +322,19 @@ def _run_smc(
                 continue
             weights[rows] *= w
             tokens = np.asarray(tokens)
-            ended = tokens == lm.eos
-            active[rows[ended]] = False
+            grow = tokens != lm.eos
+            active[rows[~grow]] = False
+            grown = tokens[grow]
+            if grown.size == 0:
+                continue
             # One child node per distinct token, numbered in token order through
             # a token table: on a1_pwp, np.unique here cost 5% of draws_per_s.
             # The table is O(V), as the group's next-token row already is.
-            grown = tokens[~ended]
             child = np.zeros(prior.vocab_size, dtype=np.int64)
             child[grown] = 1
             distinct = np.flatnonzero(child)
             child[distinct] = np.arange(len(strings), len(strings) + distinct.shape[0])
-            node[rows[~ended]] = child[grown]
+            node[rows[grow]] = child[grown]
             strings.extend(prefix + lm.alphabet[t] for t in distinct.tolist())
         steps += 1
         eval_counts.append(family.counter.count - before)
@@ -387,7 +415,9 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
     Every step samples the exact local posterior via token masking and
     multiplies the local valid mass z into the rollout's weight, so the
     mean weight estimates g and the reweighted ensemble estimates the
-    global posterior.
+    global posterior. A rollout that reaches a prefix with no valid mass
+    ends there with weight zero; AllDead is raised only if every rollout
+    does.
     """
     if n < 1:
         raise ValueError("need at least one rollout")
@@ -398,7 +428,11 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
         rng = make_rng(seed, 0, i)
         prefix, w = "", 1.0
         while True:
-            local = token_mask(lm.next_dist(prefix), family.constraint_at(prefix))
+            try:
+                local = token_mask(lm.next_dist(prefix), family.constraint_at(prefix))
+            except NoValidToken:
+                w = 0.0
+                break
             w *= local.z
             token = sample(local.post, rng)
             if token == lm.eos:
@@ -407,7 +441,10 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
         node.append(index.setdefault(prefix, len(index)))
         weights.append(w)
     eval_counts = [family.counter.count - eval_before]
-    return _finalize(list(index), np.array(node), np.array(weights), eval_counts, steps=1)
+    weights = np.array(weights)
+    if float(weights.sum()) <= 0.0:
+        raise AllDead(f"all {n} rollouts reached a prefix with no valid mass")
+    return _finalize(list(index), np.array(node), weights, eval_counts, steps=1)
 
 
 def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:

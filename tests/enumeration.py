@@ -13,6 +13,7 @@ pools far smaller than the rounding error of 1, are handled exactly.
 
 ``support`` enumerates a model's whole support with
 ``zest.oracle.global_posterior``, and ``likeliest`` ranks it.
+``FixedUniforms`` stands in for a generator whose uniforms a test picks.
 """
 
 from __future__ import annotations
@@ -255,3 +256,18 @@ def output_marginals(traces, vocab) -> np.ndarray:
     for p, tok, _, _ in traces:
         out[tok] += p
     return out
+
+
+class FixedUniforms:
+    """A stand-in generator whose ``random(n)`` returns the given uniforms.
+
+    It lets a test put a uniform exactly on a cumulative-mass boundary,
+    which a real stream hits with probability about 2^-53.
+    """
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == self.u.shape[0], "the test gave a different number of uniforms"
+        return self.u.copy()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import enumeration as en
 from zest.constraints import blackbox_constraint, mask_constraint
-from zest.dist import Categorical, normalize, sample
+from zest.dist import Categorical, normalize, sample, sample_many
 from zest.errors import NoValidToken
 from zest.oracle import token_mask
 from zest.rng import make_rng
@@ -577,12 +577,30 @@ class TestPackedPool:
         for field in ("tokens", "zhats", "trials"):
             np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
 
+    def test_spare_pool_buffer_changes_nothing(self, monkeypatch):
+        # A pool of at least 1 MiB (100 runs at V = 1e5 pack 1.25 MB) takes
+        # the buffer that the last one released, rezeroed: a call after one
+        # that removed many tokens matches a call with a fresh buffer.
+        prior, valid = placed_mass_instance(10**5, 0.01, 100)
+        c = c_of(valid)
+        outs = []
+        for dirty in (False, True):
+            monkeypatch.setattr(samplers, "_spare", [])
+            if dirty:
+                ars_batch(prior, c, 200, make_rng(65))
+                (buf,) = samplers._spare
+            outs.append(awrs_batch(prior, c, 100, make_rng(66)))
+        assert len(samplers._spare) == 1 and samplers._spare[0] is buf
+        for field in ("tokens", "zhats", "trials"):
+            np.testing.assert_array_equal(getattr(outs[0], field), getattr(outs[1], field))
+
     @pytest.mark.parametrize("batch", [awrs_batch, rawrs_batch], ids=["awrs", "rawrs"])
-    def test_memory_at_large_vocab(self, batch):
+    def test_memory_at_large_vocab(self, batch, monkeypatch):
         # 1000 runs at V = 1e5 hold a 12.5 MB packed pool in one chunk.
         prior, valid = placed_mass_instance(10**5, 0.9, 100)
         c = c_of(valid)
         prior.cumulative()
+        monkeypatch.setattr(samplers, "_spare", [])
         tracemalloc.start()
         try:
             batch(prior, c, 1000, make_rng(62))
@@ -600,6 +618,75 @@ class TestPackedPool:
         clean = out.trials == 2
         assert clean.any()
         np.testing.assert_allclose(out.zhats[clean], math.fsum(prior.probs.tolist()), rtol=0, atol=1e-15)
+
+
+def count_draw(rem, rows, u):
+    """The exact draw as a count of each row's cumulative pool masses at or below u * total."""
+    c = np.cumsum(rem._pool(rows), axis=1)
+    tot = c[:, -1]
+    ub = np.minimum(u * tot, np.nextafter(tot, 0.0))
+    return np.minimum(np.sum(c <= ub[:, None], axis=1), c.shape[1] - 1)
+
+
+def removed_at_random(rem, rng):
+    """Remove a random set of the prior's support from each row, keeping one token per row."""
+    support = rem.prior.support()
+    n = rem.mass.shape[0]
+    removed = rng.random((n, support.shape[0])) < 0.5
+    removed[np.arange(n), rng.integers(support.shape[0], size=n)] = False
+    for j, token in enumerate(support.tolist()):
+        rows = np.flatnonzero(removed[:, j])
+        rem.add(rows, np.full(rows.shape[0], token))
+
+
+class TestDrawStreams:
+    """The pool's draws keep the streams and results of their plain formulations."""
+
+    @pytest.mark.parametrize("vocab", [3, 40])
+    def test_untouched_pool_draw_is_a_prior_draw(self, vocab):
+        prior = normalize(make_rng(70, vocab).random(vocab))
+        rem = samplers._Removed(500, prior)
+        rng, twin = make_rng(71, vocab), make_rng(71, vocab)
+        np.testing.assert_array_equal(rem.draw(np.arange(500), rng), sample_many(prior, 500, twin))
+        # Both generators stand at the same point of the stream.
+        np.testing.assert_array_equal(rng.random(8), twin.random(8))
+        # Once a row loses its likeliest token, its draws skip that token.
+        rows = np.arange(0, 500, 2)
+        top = int(np.argmax(prior.probs))
+        rem.add(rows, np.full(rows.shape[0], top))
+        assert not np.any(rem.draw(rows, rng) == top)
+
+    @pytest.mark.parametrize("vocab", [6, 8, 20])
+    def test_exact_draw_matches_count_formulation(self, vocab):
+        # Zero-mass tokens at both ends and inside; up to 8 tokens the pools
+        # come from a per-byte table, past 8 from the rows' own bits.
+        g = make_rng(72, vocab)
+        probs = g.random(vocab)
+        probs[[0, vocab // 2, vocab - 1]] = 0.0
+        rem = samplers._Removed(400, normalize(probs))
+        removed_at_random(rem, g)
+        rows = np.arange(400)
+        u = g.random(400)
+        np.testing.assert_array_equal(rem._draw_exact(rows, en.FixedUniforms(u)), count_draw(rem, rows, u))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0, 1, 0, 2, 1, 0], [0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 0]],
+        ids=["table", "bits"],
+    )
+    def test_exact_draw_on_boundaries(self, weights):
+        # Dyadic masses and uniforms make u * total land exactly on cumulative
+        # masses, where a crossing taken at ">=" would return a zero-mass or
+        # removed token.
+        prior = normalize(np.array(weights, dtype=float))
+        rem = samplers._Removed(400, prior)
+        removed_at_random(rem, make_rng(73))
+        rows = np.arange(400)
+        u = make_rng(74).integers(0, 8, size=400) / 8.0
+        tokens = rem._draw_exact(rows, en.FixedUniforms(u))
+        np.testing.assert_array_equal(tokens, count_draw(rem, rows, u))
+        assert np.all(prior.probs[tokens] > 0)
+        assert not np.any(rem._removed(rows, tokens))
 
 
 def peaked_instance(vocab):
