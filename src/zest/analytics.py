@@ -18,7 +18,6 @@ __all__ = [
     "wrs_expected_calls",
     "awrs_expected_calls",
     "distractor_probs",
-    "kl_cost",
 ]
 
 
@@ -62,13 +61,3 @@ def awrs_expected_calls(prior: Categorical, valid: np.ndarray, extra_loops: int 
     terms = -np.expm1((L + 1) * np.log1p(-q))
     return 1.0 + L + math.fsum(terms.tolist())
 
-
-def kl_cost(z: float) -> float:
-    """Information cost of the local constraint in nats: -ln z.
-
-    Equals the KL divergence of the constrained local posterior from the
-    prior, so expected rejection-sampling cost is exponential in it.
-    """
-    if not (0.0 < z <= 1.0):
-        raise ValueError("z must lie in (0, 1]")
-    return -math.log(z)

@@ -24,7 +24,6 @@ __all__ = [
     "global_posterior",
     "LcdDistribution",
     "lcd_distribution",
-    "kl_local",
 ]
 
 
@@ -127,10 +126,3 @@ def lcd_distribution(lm: ToyLM, family: DfaPattern) -> LcdDistribution:
                 stack.append((prefix + ch, path_p * q, w))
     return LcdDistribution(dist=out_p, weights=out_w)
 
-
-def kl_local(post: Categorical, prior: Categorical) -> float:
-    """KL divergence of the local posterior from the prior, in nats."""
-    p = post.probs
-    q = prior.probs
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))

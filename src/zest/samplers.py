@@ -41,9 +41,18 @@ batch would reach a sixth of the vocabulary size is drawn by an exact
 O(V) inverse CDF: the first of the row's cumulative pool masses above
 its scaled uniform, read at V <= 8 from a table of every possible pool.
 
-Each kernel loop runs in rounds, one draw per running run per round, so
-the ``awrs`` loop takes a run's trial count as the round it ends in
-rather than counting per run every round.
+The six rejection samplers share two loops. ``rs``, ``wrs`` and ``cwrs``
+run one with-replacement loop, ``_budgeted``, at (L, R) = (0, inf),
+(L, inf) and (L, R): each run draws until L + 1 acceptances or R
+rejections. ``ars``, ``awrs`` and ``cawrs`` run one without-replacement
+loop, ``_adaptive``, at (L, theta0, theta1) = (0, inf, inf), (1, inf,
+inf) and (1, theta0, theta1): each run draws from a pool that loses its
+rejected tokens until L + 1 acceptances, and finite thresholds clip it.
+``gawrs`` (phantom rejection counts) and ``rawrs`` (a recursive estimate)
+are different processes with loops of their own. Every loop runs in
+rounds, one draw per running run per round, so the two shared loops take
+a run's trial count as the round it ends in rather than counting per run
+every round.
 """
 
 from __future__ import annotations
@@ -135,6 +144,8 @@ _BLOCK_CELLS = 1 << 21
 # buffer; ``list.pop`` hands it to one pool at a time, across threads too.
 _SPARE_MIN_BYTES = 1 << 20
 _spare: list[np.ndarray] = []
+# A batch runs in chunks of at most this many bytes of packed pool (32 MiB).
+_CHUNK_BYTES = 1 << 25
 
 
 def _take_spare(size: int) -> np.ndarray:
@@ -316,32 +327,22 @@ class _Removed:
         return out
 
 
-def _chunks(n: int, vocab: int) -> list[int]:
-    # Bounds each chunk's packed removed-token pool at 2**25 bytes (32 MiB).
-    per = max(1, min(n, (1 << 25) // ((vocab + 7) >> 3)))
-    sizes = [per] * (n // per)
-    if n % per:
-        sizes.append(n % per)
-    return sizes
+def _chunked(kernel, prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator, *args):
+    """Run ``kernel(rem, c, m, rng, *args)`` over chunks of the n runs and join its arrays.
 
-
-def _cat_tokens(parts: list[BatchTokens]) -> BatchTokens:
-    if len(parts) == 1:
-        return parts[0]
-    return BatchTokens(
-        tokens=np.concatenate([p.tokens for p in parts]),
-        trials=np.concatenate([p.trials for p in parts]),
-    )
-
-
-def _cat_weighted(parts: list[BatchWeighted]) -> BatchWeighted:
-    if len(parts) == 1:
-        return parts[0]
-    return BatchWeighted(
-        tokens=np.concatenate([p.tokens for p in parts]),
-        zhats=np.concatenate([p.zhats for p in parts]),
-        trials=np.concatenate([p.trials for p in parts]),
-    )
+    Each chunk of m runs gets its own ``_Removed`` pool of at most
+    ``_CHUNK_BYTES`` and runs after the last on the same random stream; a
+    call of no runs runs one empty chunk. A one-chunk call returns the
+    kernel's arrays as they are, uncopied.
+    """
+    per = max(1, min(n, _CHUNK_BYTES // ((prior.vocab_size + 7) >> 3)))
+    parts = []
+    for lo in range(0, max(n, 1), per):
+        m = min(per, n - lo)
+        rem = _Removed(m, prior)
+        parts.append(kernel(rem, c, m, rng, *args))
+        rem.release()
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,35 +411,6 @@ def rs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gene
 
 
 # ---------------------------------------------------------------------------
-# Adaptive rejection sampling (without replacement, unweighted)
-
-
-def _ars_chunk(prior, c, n, rng) -> BatchTokens:
-    rem = _Removed(n, prior)
-    tokens = np.full(n, -1, dtype=np.int64)
-    trials = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
-    while alive.size:
-        cand = rem.draw(alive, rng)
-        ok = c.evaluate_many(cand)
-        trials[alive] += 1
-        tokens[alive[ok]] = cand[ok]
-        rem.add(alive[~ok], cand[~ok])
-        alive = alive[~ok]
-    rem.release()
-    return BatchTokens(tokens=tokens, trials=trials)
-
-
-def ars_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchTokens:
-    """Adaptive rejection sampling: rejected tokens are never redrawn.
-
-    Exact posterior samples in at most (#invalid tokens) + 1 constraint
-    evaluations per run.
-    """
-    return _cat_tokens([_ars_chunk(prior, c, m, rng) for m in _chunks(n, prior.vocab_size)])
-
-
-# ---------------------------------------------------------------------------
 # Weighted rejection sampling (with replacement, L + 1 loops)
 
 
@@ -464,144 +436,111 @@ def wrs_batch(
 
 
 # ---------------------------------------------------------------------------
-# Adaptive weighted rejection sampling
+# Rejection sampling without replacement: ars, awrs and cawrs
 
 
-def _awrs_chunk(prior, c, n, rng) -> BatchWeighted:
-    rem = _Removed(n, prior)
+def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
+    """Draw from a pool that loses each rejected token, per run, until L + 1 acceptances.
+
+    ``L`` is 0 (the first acceptance ends the run) or 1 (a second loop
+    continues from the depleted pool, the accepted token left in it, to its
+    own acceptance). A finite ``theta0`` clips the process: a first loop
+    whose removed mass passes ``theta0`` makes one probe draw, which ends
+    the run dead if invalid and else starts a boosted second loop; a second
+    loop also ends once the removed mass passes ``theta1``; and a first
+    loop that rejects every positive-mass token ends dead. Unclipped, a run
+    whose pool runs out raises NoValidToken. Returns per run the first
+    accepted token (the last draw of a dead run), ``zhat`` and the
+    constraint evaluations.
+    """
     tokens = np.empty(n, dtype=np.int64)
     trials = np.empty(n, dtype=np.int64)
     nrej = np.zeros(n, dtype=np.int64)
+    # The pool mass when the first loop ends, and the factor on zhat: one
+    # plus the second-loop rejections after a valid probe, 0 for a dead run.
     left0 = np.zeros(n)
+    boost = np.ones(n)
     alive = np.arange(n)
     # Whether each running run is in its second loop, aligned with ``alive``.
     # A running run draws once per round, so its trials are the round it ends in.
     second = np.zeros(n, dtype=bool)
+    clipped = theta0 < math.inf
+    if clipped:
+        # Whether the run's first loop passed theta0: it probes next, or
+        # its second loop is boosted.
+        crossed = np.zeros(n, dtype=bool)
+        npos = int(np.count_nonzero(rem.probs > 0))
     rounds = 0
     while alive.size:
         cand = rem.draw(alive, rng)
         ok = c.evaluate_many(cand)
         rounds += 1
-        # First-loop acceptance: keep the token, snapshot the pool mass,
-        # and continue into the confirmation loop (acceptances are replaced,
-        # so the token stays in the pool).
-        first = ok & ~second
-        first_rows = alive[first]
-        tokens[first_rows] = cand[first]
-        left0[first_rows] = rem.left(first_rows)
-        # Rejections are unique: remove them for both loops.
         rej = ~ok
-        rej_rows = alive[rej]
-        rem.add(rej_rows, cand[rej])
-        nrej[rej_rows] += 1
-        # A second-loop acceptance ends the run.
-        done = ok & second
-        trials[alive[done]] = rounds
-        keep = ~done
+        if clipped:
+            # A probe is not removed: an invalid one ends its run dead.
+            probing = crossed & ~second
+            dead = probing & rej
+            rej &= ~probing
+        rows = alive[rej]
+        rem.add(rows, cand[rej])
+        # At L = 0 the run keeps no weight: its rejections and pool go uncounted.
+        if L:
+            nrej[rows] += 1
+        # The first acceptance, or a valid probe, keeps its token; acceptances
+        # are not removed, so the token stays in the second loop's pool.
+        first = ok & ~second
+        tokens[alive[first]] = cand[first]
+        ends = first
+        stop = ok & second if L else ok
+        if clipped:
+            boost[alive[rej & crossed]] += 1.0
+            mass = rem.mass[alive]
+            cross = rej & ~second & (mass > theta0)
+            # Rejecting every positive-mass token leaves no pool to probe
+            # (z = 0): the run ends dead on its last rejection.
+            dead |= rej & ~second & (nrej[alive] == npos)
+            tokens[alive[dead]] = cand[dead]
+            boost[alive[dead]] = 0.0
+            ends = (first & ~crossed) | cross
+            # A probe that starts the second loop past theta1 ends it at once.
+            stop = stop | dead | ((second | ok) & (mass > theta1))
+            crossed = crossed | cross
+        # A run whose first loop ends this round records its pool mass.
+        if L:
+            at = alive[ends]
+            left0[at] = rem.left(at)
+        trials[alive[stop]] = rounds
+        keep = ~stop
         alive, second = alive[keep], (second | ok)[keep]
-    rem.release()
-    return BatchWeighted(tokens=tokens, zhats=left0 / (nrej + 1.0), trials=trials)
+        if clipped:
+            crossed = crossed[keep]
+    return tokens, boost * (left0 / (nrej + 1.0)), trials
+
+
+def ars_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchTokens:
+    """Adaptive rejection sampling: rejected tokens are never redrawn.
+
+    The without-replacement loop at L = 0. Exact posterior samples in at
+    most (#invalid tokens) + 1 constraint evaluations per run.
+    """
+    tokens, _, trials = _chunked(_adaptive, prior, c, n, rng, 0)
+    return BatchTokens(tokens=tokens, trials=trials)
 
 
 def awrs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchWeighted:
     """Adaptive weighted rejection sampling.
 
-    Loop one samples without replacement of rejected tokens until a token
-    is accepted; loop two continues from the same depleted pool (with the
-    accepted token put back) until it finds another acceptance. With
-    ``total`` the prior's summed mass (1 up to rounding), ``psi0`` the
-    prior mass rejected in loop one and ``nrej`` the unique rejections
-    across both loops, ``zhat = (total - psi0) / (nrej + 1)`` is an
-    unbiased estimate of z, and the returned token is exactly posterior
-    distributed. Per loop the trial count never exceeds one plus the
-    number of invalid tokens.
+    The without-replacement loop at L = 1. Loop one samples without
+    replacement of rejected tokens until a token is accepted; loop two
+    continues from the same depleted pool (with the accepted token put
+    back) until it finds another acceptance. With ``total`` the prior's
+    summed mass (1 up to rounding), ``psi0`` the prior mass rejected in
+    loop one and ``nrej`` the unique rejections across both loops,
+    ``zhat = (total - psi0) / (nrej + 1)`` is an unbiased estimate of z,
+    and the returned token is exactly posterior distributed. Per loop the
+    trial count never exceeds one plus the number of invalid tokens.
     """
-    return _cat_weighted([_awrs_chunk(prior, c, m, rng) for m in _chunks(n, prior.vocab_size)])
-
-
-# ---------------------------------------------------------------------------
-# Clipped adaptive weighted rejection sampling (mass-threshold early stop)
-
-_PHASE_LOOP0 = 0
-_PHASE_PROBE = 1
-_PHASE_SECOND = 2
-_PHASE_SECOND_POST = 3
-_PHASE_DONE = 4
-
-
-def _cawrs_chunk(prior, c, n, rng, theta0, theta1) -> BatchWeighted:
-    rem = _Removed(n, prior)
-    tokens = np.full(n, -1, dtype=np.int64)
-    trials = np.zeros(n, dtype=np.int64)
-    nrej = np.zeros(n, dtype=np.int64)
-    n1 = np.zeros(n, dtype=np.int64)
-    left0 = np.zeros(n)
-    zhats = np.zeros(n)
-    phase = np.full(n, _PHASE_LOOP0, dtype=np.int8)
-    npos = int(np.count_nonzero(prior.probs > 0))
-
-    def finish(rows, boosted):
-        base = left0[rows] / (nrej[rows] + 1.0)
-        zhats[rows] = np.where(boosted, (n1[rows] + 1.0) * base, base)
-        phase[rows] = _PHASE_DONE
-
-    while True:
-        alive = np.flatnonzero(phase != _PHASE_DONE)
-        if alive.size == 0:
-            break
-        cand = rem.draw(alive, rng)
-        ok = c.evaluate_many(cand)
-        trials[alive] += 1
-        ph = phase[alive]
-
-        # First loop: reject uniquely until acceptance or theta0 overflow.
-        l0 = ph == _PHASE_LOOP0
-        acc0 = alive[l0 & ok]
-        tokens[acc0] = cand[l0 & ok]
-        left0[acc0] = rem.left(acc0)
-        phase[acc0] = _PHASE_SECOND
-        rej0 = alive[l0 & ~ok]
-        rem.add(rej0, cand[l0 & ~ok])
-        nrej[rej0] += 1
-        over0 = rej0[rem.mass[rej0] > theta0]
-        left0[over0] = rem.left(over0)
-        phase[over0] = _PHASE_PROBE
-        # Rejecting every positive-mass token leaves no pool to probe
-        # (z = 0): the row ends dead on its last rejection.
-        drained = nrej[rej0] == npos
-        tokens[rej0[drained]] = cand[l0 & ~ok][drained]
-        phase[rej0[drained]] = _PHASE_DONE
-
-        # Overflow probe: one draw from the remaining pool decides between
-        # a dead sample and a boosted-weight continuation.
-        pr = ph == _PHASE_PROBE
-        dead = alive[pr & ~ok]
-        tokens[dead] = cand[pr & ~ok]
-        zhats[dead] = 0.0
-        phase[dead] = _PHASE_DONE
-        live = alive[pr & ok]
-        tokens[live] = cand[pr & ok]
-        phase[live] = _PHASE_SECOND_POST
-        # A rejection that crossed theta1 along with theta0 leaves the
-        # second loop already stopped: it makes no draw.
-        finish(live[rem.mass[live] > theta1], True)
-
-        # Second loop (either flavor): continue until acceptance or the
-        # total rejected mass crosses theta1.
-        l1 = (ph == _PHASE_SECOND) | (ph == _PHASE_SECOND_POST)
-        boosted = ph == _PHASE_SECOND_POST
-        acc1 = l1 & ok
-        finish(alive[acc1], boosted[acc1])
-        rej1 = l1 & ~ok
-        rows1 = alive[rej1]
-        rem.add(rows1, cand[rej1])
-        nrej[rows1] += 1
-        n1[rows1] += 1
-        over1 = rem.mass[rows1] > theta1
-        finish(rows1[over1], boosted[rej1][over1])
-
-    rem.release()
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
+    return BatchWeighted(*_chunked(_adaptive, prior, c, n, rng, 1))
 
 
 def cawrs_batch(
@@ -614,6 +553,7 @@ def cawrs_batch(
 ) -> BatchWeighted:
     """Adaptive weighted rejection sampling with rejected-mass clipping.
 
+    The without-replacement loop at L = 1, clipped at (theta0, theta1).
     Identical to ``awrs_batch`` while the first loop's rejected mass stays
     at or below ``theta0`` and the total rejected mass at or below
     ``theta1``. Crossing ``theta0`` before any acceptance triggers a single
@@ -628,8 +568,7 @@ def cawrs_batch(
     dead samples.
     """
     check_knobs(theta0=theta0, theta1=theta1)
-    parts = [_cawrs_chunk(prior, c, m, rng, theta0, theta1) for m in _chunks(n, prior.vocab_size)]
-    return _cat_weighted(parts)
+    return BatchWeighted(*_chunked(_adaptive, prior, c, n, rng, 1, theta0, theta1))
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +613,7 @@ def cwrs_batch(
 # Geometric adaptive weighted rejection sampling
 
 
-def _gawrs_chunk(prior, c, n, rng, L, R) -> BatchWeighted:
-    rem = _Removed(n, prior)
+def _gawrs_chunk(rem, c, n, rng, L, R):
     s = np.zeros(n, dtype=np.int64)
     r = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=np.int64)
@@ -718,9 +656,7 @@ def _gawrs_chunk(prior, c, n, rng, L, R) -> BatchWeighted:
         alive = alive[~((ok & (s[alive] == L + 1)) | (~ok & (r[alive] >= R)))]
     assert np.all(failed <= R) and np.all(s <= L + 1)
     zhats = _cwrs_estimate(s, np.minimum(r, R), L, R)
-    tokens = np.where(s > 0, first_tok, x1)
-    rem.release()
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
+    return np.where(s > 0, first_tok, x1), zhats, trials
 
 
 def gawrs_batch(
@@ -741,17 +677,15 @@ def gawrs_batch(
     """
     check_knobs(extra_loops=extra_loops, budget=budget)
     L, R = int(extra_loops), int(budget)
-    parts = [_gawrs_chunk(prior, c, m, rng, L, R) for m in _chunks(n, prior.vocab_size)]
-    return _cat_weighted(parts)
+    return BatchWeighted(*_chunked(_gawrs_chunk, prior, c, n, rng, L, R))
 
 
 # ---------------------------------------------------------------------------
 # Recursive adaptive weighted rejection sampling
 
 
-def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
-    probs = prior.probs
-    rem = _Removed(n, prior)
+def _rawrs_chunk(rem, c, n, rng, R):
+    probs = rem.probs
     tokens = np.full(n, -1, dtype=np.int64)
     zhats = np.zeros(n)
     trials = np.zeros(n, dtype=np.int64)
@@ -826,8 +760,7 @@ def _rawrs_chunk(prior, c, n, rng, R) -> BatchWeighted:
         zhats[probing] = np.where(ok, eta_n[probing], q_n[probing] * eta_n[probing])
 
     assert np.all(failed <= R)
-    rem.release()
-    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
+    return tokens, zhats, trials
 
 
 def rawrs_batch(
@@ -850,8 +783,7 @@ def rawrs_batch(
     """
     check_knobs(budget=budget)
     R = int(budget)
-    parts = [_rawrs_chunk(prior, c, m, rng, R) for m in _chunks(n, prior.vocab_size)]
-    return _cat_weighted(parts)
+    return BatchWeighted(*_chunked(_rawrs_chunk, prior, c, n, rng, R))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,12 @@
 """Closed-form cost laws against independent enumeration and Monte Carlo."""
 
-import math
-
 import numpy as np
 import pytest
 
 import enumeration as en
-from zest.analytics import awrs_expected_calls, distractor_probs, kl_cost, wrs_expected_calls
+from zest.analytics import awrs_expected_calls, distractor_probs, wrs_expected_calls
 from zest.constraints import mask_constraint
 from zest.dist import Categorical, normalize
-from zest.oracle import kl_local, token_mask
 from zest.rng import make_rng
 from zest.samplers import awrs_batch, wrs_batch
 
@@ -109,21 +106,3 @@ class TestLawsOnRandomInstances:
             law = awrs_expected_calls(prior, valid, 1)
             assert abs(a.trials.mean() - law) <= 4 * max(sem, 1e-12) + 1e-9
 
-
-class TestKlCost:
-    def test_unit_mass_is_free(self):
-        assert kl_cost(1.0) == 0.0
-
-    def test_nat_scale(self):
-        assert kl_cost(math.exp(-1)) == pytest.approx(1.0)
-
-    def test_agrees_with_direct_summation(self):
-        rng = make_rng(52)
-        for _ in range(20):
-            probs = rng.dirichlet(np.ones(15))
-            valid = rng.random(15) < 0.5
-            if probs[valid].sum() <= 0:
-                continue
-            prior = Categorical(probs)
-            local = token_mask(prior, mask_constraint(valid))
-            assert kl_local(local.post, prior) == pytest.approx(kl_cost(local.z), abs=1e-9)

@@ -12,8 +12,7 @@ from enumeration import support
 from zest.constraints import DfaPattern, TrieLanguage, mask_constraint
 from zest.dist import Categorical, normalize
 from zest.errors import DeadPrefix, EmptyPosterior, NoValidToken
-from zest.oracle import global_posterior, kl_local, lcd_distribution, token_mask
-from zest.rng import make_rng
+from zest.oracle import global_posterior, lcd_distribution, token_mask
 from zest.smc import lcd_sample
 from zest.toylm import example_a1, random_lm
 
@@ -178,15 +177,3 @@ class TestLcdDistribution:
         with pytest.raises(DeadPrefix):
             lcd_sample(lm, lang, 10, seed=0)
 
-
-class TestKlIdentity:
-    def test_masked_posterior_kl_is_minus_log_z(self):
-        rng = make_rng(21)
-        for _ in range(25):
-            probs = rng.dirichlet(np.ones(12))
-            valid = rng.random(12) < 0.6
-            if probs[valid].sum() <= 0:
-                continue
-            prior = Categorical(probs)
-            local = token_mask(prior, mask_constraint(valid))
-            assert kl_local(local.post, prior) == pytest.approx(-math.log(local.z), abs=1e-9)

@@ -188,9 +188,12 @@ class TestAdaptiveWeighted:
         assert np.all(out.trials <= 28 + 2)
 
     def test_eval_count_equals_total_trials(self):
-        c = c_of(V5)
-        out = awrs_batch(Categorical(P5), c, 5000, make_rng(18))
-        assert c.eval_count == int(out.trials.sum())
+        # The one without-replacement loop, at L = 0, at L = 1, and clipped
+        # at thresholds that P5 crosses, so probes count too.
+        for batch in (ars_batch, awrs_batch, cawrs_batch):
+            c = c_of(V5)
+            out = batch(Categorical(P5), c, 5000, make_rng(18))
+            assert c.eval_count == int(out.trials.sum())
 
     def test_scalar_wrapper_fields(self):
         out = awrs_batch(Categorical(P5), c_of(V5), 1, make_rng(19))
@@ -206,6 +209,11 @@ class TestClippedAdaptive:
         plain = en.enumerate_awrs(P5.tolist(), V5.tolist())
         clipped = en.enumerate_cawrs(P5.tolist(), V5.tolist(), 0.97, 0.98)
         assert sorted(plain) == sorted(clipped)
+        # The kernels draw the same stream to the same arrays.
+        a = awrs_batch(Categorical(P5), c_of(V5), 5000, make_rng(27))
+        b = cawrs_batch(Categorical(P5), c_of(V5), 5000, make_rng(27), theta0=0.97, theta1=0.98)
+        for field in ("tokens", "zhats", "trials"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_dead_samples_have_zero_weight_and_invalid_token(self):
         probs = np.array([0.6, 0.2, 0.2])
@@ -594,6 +602,30 @@ class TestPackedPool:
         for field in ("tokens", "zhats", "trials"):
             np.testing.assert_array_equal(getattr(outs[0], field), getattr(outs[1], field))
 
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            ars_batch,
+            awrs_batch,
+            lambda p, c, n, r: cawrs_batch(p, c, n, r, 0.3, 0.63),
+            lambda p, c, n, r: gawrs_batch(p, c, n, r, 1, 4),
+            lambda p, c, n, r: rawrs_batch(p, c, n, r, 4),
+        ],
+        ids=["ars", "awrs", "cawrs", "gawrs", "rawrs"],
+    )
+    def test_chunks_run_in_order_on_one_stream(self, batch, monkeypatch):
+        # 20 runs at V = 17 (3 bytes of pool each) in chunks of 7, 7 and 6
+        # runs draw what three calls of 7, 7 and 6 runs draw in turn.
+        prior, valid = byte_edge_instance(17)
+        rng = make_rng(67)
+        calls = [batch(prior, c_of(valid), m, rng) for m in (7, 7, 6)]
+        monkeypatch.setattr(samplers, "_CHUNK_BYTES", 21)
+        c = c_of(valid)
+        out = batch(prior, c, 20, make_rng(67))
+        assert c.eval_count == int(out.trials.sum())
+        for field in vars(out):
+            np.testing.assert_array_equal(getattr(out, field), np.concatenate([getattr(p, field) for p in calls]))
+
     @pytest.mark.parametrize("batch", [awrs_batch, rawrs_batch], ids=["awrs", "rawrs"])
     def test_memory_at_large_vocab(self, batch, monkeypatch):
         # 1000 runs at V = 1e5 hold a 12.5 MB packed pool in one chunk.
@@ -836,6 +868,16 @@ class TestDeterminismAndConfig:
         a = runner(prior, c_of(V5), make_rng(99, 1))
         b = runner(prior, c_of(V5), make_rng(99, 1))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [rs_batch, ars_batch, wrs_batch, awrs_batch, cawrs_batch, cwrs_batch, gawrs_batch, rawrs_batch],
+        ids=["rs", "ars", "wrs", "awrs", "cawrs", "cwrs", "gawrs", "rawrs"],
+    )
+    def test_no_runs_no_rows(self, batch):
+        out = batch(Categorical(P5), c_of(V5), 0, make_rng(0))
+        for field in vars(out).values():
+            assert field.shape == (0,)
 
     def test_config_validation(self):
         # The same range checks guard the kernels and weighted_proposal.
