@@ -184,7 +184,8 @@ def generate(ctx, config, **values):
         t0 = time.perf_counter()
         ens = _dispatch(lm, family, method, n, seed, options)
     except ValueError as e:
-        # The library refuses an out-of-range or inapplicable option before any draw.
+        # The library refuses an out-of-range or inapplicable option before any
+        # draw, and a model context with no table row when a run reaches it.
         _fail_config(str(e))
     except ZestError as e:
         _emit({"error": {"type": type(e).__name__, "message": str(e)}, "method": method, "seed": seed}, out)

@@ -41,18 +41,20 @@ batch would reach a sixth of the vocabulary size is drawn by an exact
 O(V) inverse CDF: the first of the row's cumulative pool masses above
 its scaled uniform, read at V <= 8 from a table of every possible pool.
 
-The six rejection samplers share two loops. ``rs``, ``wrs`` and ``cwrs``
-run one with-replacement loop, ``_budgeted``, at (L, R) = (0, inf),
-(L, inf) and (L, R): each run draws until L + 1 acceptances or R
-rejections. ``ars``, ``awrs`` and ``cawrs`` run one without-replacement
+The eight samplers run three loops. ``rs``, ``wrs``, ``cwrs`` and
+``gawrs`` run one with-replacement loop, ``_budgeted``, at (L, R) = (0,
+inf), (L, inf), (L, R) and (L, R) over a pool: each run draws until L + 1
+acceptances or R rejections, and gawrs's pool loses the rejected tokens,
+whose redraws it counts by one geometric draw per round instead of
+drawing them. ``ars``, ``awrs`` and ``cawrs`` run one without-replacement
 loop, ``_adaptive``, at (L, theta0, theta1) = (0, inf, inf), (1, inf,
 inf) and (1, theta0, theta1): each run draws from a pool that loses its
 rejected tokens until L + 1 acceptances, and finite thresholds clip it.
-``gawrs`` (phantom rejection counts) and ``rawrs`` (a recursive estimate)
-are different processes with loops of their own. Every loop runs in
-rounds, one draw per running run per round, so the two shared loops take
-a run's trial count as the round it ends in rather than counting per run
-every round.
+``rawrs`` scans a pool until an acceptance or R checks and probes it
+once (``_rawrs``); its estimate is the pool mass. Every loop runs in
+rounds, one draw per running run per round, so each loop takes a run's
+trial count as the round it ends in rather than counting per run every
+round.
 """
 
 from __future__ import annotations
@@ -361,12 +363,16 @@ def _check_support(prior: Categorical, c: TokenConstraint, rounds: int):
         raise NoValidToken("no token with prior mass is valid (z = 0)")
 
 
-def _budgeted(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator, L: int, R: float):
+def _budgeted(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator, L: int, R: float, rem=None):
     """Draw from the prior with replacement, per run, until L + 1 acceptances or R rejections.
 
     ``R`` may be ``math.inf``; then a call still running at its V-th round
-    checks the prior's support (``_check_support``). Returns per run the
-    first accepted token (the first draw when none was accepted), the
+    checks the prior's support (``_check_support``). With a pool ``rem``
+    (gawrs, finite R) a rejected token leaves the run's pool, and each
+    round first counts the run's redraws of removed tokens by one geometric
+    draw: phantom rejections, charged to R without a constraint call. A run
+    whose phantoms spend its budget ends before it draws. Returns per run
+    the first accepted token (the first draw when none was accepted), the
     constraint evaluations, and the acceptance and rejection counts.
     """
     tokens = np.empty(n, dtype=np.int64)
@@ -376,10 +382,35 @@ def _budgeted(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gen
     # Acceptances of the running runs, aligned with ``alive``; a running
     # run has drawn once per round, so its trials are the round count.
     got = np.zeros(n, dtype=np.int64)
+    if rem is not None:
+        # Phantom rejections of each stopped run, and of the running runs
+        # aligned with ``alive``.
+        phantoms = np.zeros(n, dtype=np.int64)
+        held = np.zeros(n, dtype=np.int64)
     capped = R < math.inf
     rounds = 0
     while alive.size:
-        cand = sample_many(prior, alive.size, rng)
+        if rem is None:
+            cand = sample_many(prior, alive.size, rng)
+        else:
+            # A prior draw hits the removed mass with chance ``rem.mass``, so a
+            # run's hits before its next novel draw are geometric. The count
+            # is clipped at the budget left: once the removed mass rounds to
+            # 1 it saturates at the int64 maximum.
+            room = R - (rounds - got + held)
+            hits = rng.geometric(np.maximum(1.0 - rem.mass[alive], 1e-300)) - 1
+            over = hits >= room
+            held += np.minimum(hits, room)
+            if over.any():
+                done = alive[over]
+                s[done] = got[over]
+                trials[done] = rounds
+                phantoms[done] = held[over]
+                keep = ~over
+                alive, got, held = alive[keep], got[keep], held[keep]
+                if not alive.size:
+                    break
+            cand = rem.draw(alive, rng)
         ok = c.evaluate_many(cand)
         if rounds == 0:
             tokens[:] = cand
@@ -388,15 +419,25 @@ def _budgeted(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gen
         first = ok & (got == 1)
         tokens[alive[first]] = cand[first]
         stop = got > L
-        if capped:
+        if rem is not None:
+            rem.add(alive[~ok], cand[~ok])
+            stop |= rounds - got + held >= R
+        elif capped:
             stop |= rounds - got >= R
         done = alive[stop]
         s[done] = got[stop]
         trials[done] = rounds
-        alive, got = alive[~stop], got[~stop]
-        if alive.size and not capped:
+        keep = ~stop
+        alive, got = alive[keep], got[keep]
+        if rem is not None:
+            phantoms[done] = held[stop]
+            held = held[keep]
+        elif alive.size and not capped:
             _check_support(prior, c, rounds)
-    return tokens, trials, s, trials - s
+    r = trials - s
+    if rem is not None:
+        r += phantoms
+    return tokens, trials, s, r
 
 
 def rs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchTokens:
@@ -613,52 +654,6 @@ def cwrs_batch(
 # Geometric adaptive weighted rejection sampling
 
 
-def _gawrs_chunk(rem, c, n, rng, L, R):
-    s = np.zeros(n, dtype=np.int64)
-    r = np.zeros(n, dtype=np.int64)
-    failed = np.zeros(n, dtype=np.int64)
-    first_tok = np.full(n, -1, dtype=np.int64)
-    x1 = np.full(n, -1, dtype=np.int64)
-    trials = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
-    first_wave = True
-    while alive.size:
-        # Phantom redraws of already-removed mass are accounted for with a
-        # geometric count instead of actual draws; if they exhaust the
-        # budget the pending novel draw never happens (and is not
-        # evaluated), exactly as in the with-replacement process.
-        q = rem.mass[alive]
-        # Once removed mass rounds to 1 the geometric count saturates at the
-        # int64 maximum; clipping it at R (which already exhausts any budget)
-        # keeps r + phantoms from wrapping negative.
-        phantoms = np.minimum(rng.geometric(np.maximum(1.0 - q, 1e-300)) - 1, R)
-        over = r[alive] + phantoms >= R
-        r[alive[over]] = R
-        alive = alive[~over]
-        if alive.size == 0:
-            break
-        r[alive] += phantoms[~over]
-        cand = rem.draw(alive, rng)
-        ok = c.evaluate_many(cand)
-        trials[alive] += 1
-        if first_wave:
-            x1[alive] = cand
-            first_wave = False
-        acc = alive[ok]
-        acc_cand = cand[ok]
-        newly = first_tok[acc] < 0
-        s[acc] += 1
-        first_tok[acc[newly]] = acc_cand[newly]
-        rej = alive[~ok]
-        rem.add(rej, cand[~ok])
-        r[rej] += 1
-        failed[rej] += 1
-        alive = alive[~((ok & (s[alive] == L + 1)) | (~ok & (r[alive] >= R)))]
-    assert np.all(failed <= R) and np.all(s <= L + 1)
-    zhats = _cwrs_estimate(s, np.minimum(r, R), L, R)
-    return np.where(s > 0, first_tok, x1), zhats, trials
-
-
 def gawrs_batch(
     prior: Categorical,
     c: TokenConstraint,
@@ -669,97 +664,67 @@ def gawrs_batch(
 ) -> BatchWeighted:
     """Budgeted rejection sampling, adaptive via phantom-rejection counts.
 
-    Runs the budgeted with-replacement process of ``cwrs_batch`` but never
-    actually redraws a removed token: hits on removed mass are counted by
-    a geometric draw and charged against the budget without constraint
-    calls. Same estimator and the same R-failed / L+1-passed call cap,
-    with far fewer calls when much mass is already removed.
+    The budgeted loop at (L, R) over a pool: it runs the with-replacement
+    process of ``cwrs_batch``, but a rejected token leaves the run's pool
+    and is never redrawn; each round counts the redraws it would have hit
+    by one geometric draw, charged to the budget without constraint calls.
+    Same estimator and the same R-failed / L+1-passed call cap, with far
+    fewer calls when much mass is already removed.
     """
     check_knobs(extra_loops=extra_loops, budget=budget)
     L, R = int(extra_loops), int(budget)
-    return BatchWeighted(*_chunked(_gawrs_chunk, prior, c, n, rng, L, R))
+
+    def kernel(rem, c, m, rng):
+        return _budgeted(prior, c, m, rng, L, R, rem)
+
+    tokens, trials, s, r = _chunked(kernel, prior, c, n, rng)
+    assert np.all(r <= R) and np.all(s <= L + 1)
+    return BatchWeighted(tokens=tokens, zhats=_cwrs_estimate(s, r, L, R), trials=trials)
 
 
 # ---------------------------------------------------------------------------
 # Recursive adaptive weighted rejection sampling
 
 
-def _rawrs_chunk(rem, c, n, rng, R):
-    probs = rem.probs
-    tokens = np.full(n, -1, dtype=np.int64)
+def _rawrs(rem, c, n, rng, R):
+    """Scan each run's pool until an acceptance or R checks, then probe the accepted runs once.
+
+    Every running run has rejected all its draws but the last, so at round
+    k it has spent k checks and rejected k - 1 tokens. Every run still
+    running at round ``min(R, npos)``, npos the count of positive-mass
+    tokens, ends there: dead if it rejects, with no probe if it accepts.
+    A run that accepts earlier takes the pool mass at acceptance as its
+    estimate, removes the accepted token from its pool, and probes that
+    pool after the scan.
+    """
+    last = min(R, int(np.count_nonzero(rem.probs > 0)))
+    tokens = np.empty(n, dtype=np.int64)
     zhats = np.zeros(n)
-    trials = np.zeros(n, dtype=np.int64)
-    # eta = total * prod(1 - q_j) over the rejections so far.
-    eta = np.full(n, rem.total)
-    q_n = np.zeros(n)
-    eta_n = np.ones(n)
-    nsteps = np.zeros(n, dtype=np.int64)
-    failed = np.zeros(n, dtype=np.int64)
-    phase = np.full(n, 0, dtype=np.int8)  # 0 scan, 1 probe, 2 done
-    npos = int(np.count_nonzero(probs > 0))
-
-    while True:
-        scanning = np.flatnonzero(phase == 0)
-        if scanning.size == 0:
+    trials = np.empty(n, dtype=np.int64)
+    probe = np.zeros(n, dtype=bool)
+    alive = np.arange(n)
+    rounds = 0
+    while alive.size:
+        cand = rem.draw(alive, rng)
+        ok = c.evaluate_many(cand)
+        rounds += 1
+        acc = alive[ok]
+        zhats[acc] = rem.left(acc)
+        if rounds == last:
+            tokens[alive] = cand
+            trials[alive] = rounds
             break
-        denom = rem.left(scanning)
-        cand = rem.draw(scanning, rng)
-        # Clamp guards against q > 1 from float drift in denom.
-        q_i = np.minimum(probs[cand] / denom, 1.0)
-        ok = c.evaluate_many(cand)
-        trials[scanning] += 1
-        nsteps[scanning] += 1
-        last = nsteps[scanning] == R
-
-        acc_last = scanning[ok & last]
-        tokens[acc_last] = cand[ok & last]
-        zhats[acc_last] = eta[acc_last]
-        phase[acc_last] = 2
-
-        rej = scanning[~ok]
-        failed[rej] += 1
-        # A row that has rejected every positive-mass token has nothing
-        # left to draw (z = 0); it ends dead, as at the budget.
-        dead = ~ok & (last | (failed[scanning] == npos))
-        tokens[scanning[dead]] = cand[dead]
-        zhats[scanning[dead]] = 0.0
-        phase[scanning[dead]] = 2
-
-        rem.add(rej, cand[~ok])
-        more = ~ok & ~dead
-        keep = 1.0 - q_i[more]
-        # A rejection that takes nearly all of the pool cancels in 1 - q;
-        # the ratio of pool masses after and before it does not.
-        close = keep < _SMALL_POOL
-        if np.any(close):
-            keep[close] = rem.left(scanning[more][close]) / denom[more][close]
-        eta[scanning[more]] *= keep
-
-        # Acceptance before the budget: remember the recursion state and
-        # move to the probe. The accepted token leaves the pool too, since
-        # the probe conditions on everything drawn so far.
-        acc = scanning[ok & ~last]
-        tokens[acc] = cand[ok & ~last]
-        q_n[acc] = q_i[ok & ~last]
-        eta_n[acc] = eta[acc]
-        rem.add(acc, cand[ok & ~last])
-        phase[acc] = 1
-
-    probing = np.flatnonzero(phase == 1)
-    # A drained pool means the accepted token had conditional probability
-    # one, where the probe branches coincide at eta_n. Removed tokens are
-    # distinct and have positive mass, so the pool is drained once the
-    # rejections plus the accepted token number npos.
-    drained = failed[probing] + 1 == npos
-    zhats[probing[drained]] = eta_n[probing[drained]]
-    probing = probing[~drained]
-    if probing.size:
-        cand = rem.draw(probing, rng)
-        ok = c.evaluate_many(cand)
-        trials[probing] += 1
-        zhats[probing] = np.where(ok, eta_n[probing], q_n[probing] * eta_n[probing])
-
-    assert np.all(failed <= R)
+        tokens[acc] = cand[ok]
+        trials[acc] = rounds
+        probe[acc] = True
+        rem.add(alive, cand)
+        alive = alive[~ok]
+    rows = np.flatnonzero(probe)
+    if rows.size:
+        ok = c.evaluate_many(rem.draw(rows, rng))
+        trials[rows] += 1
+        rows = rows[~ok]
+        zhats[rows] = rem.probs[tokens[rows]]
     return tokens, zhats, trials
 
 
@@ -773,17 +738,23 @@ def rawrs_batch(
     """Without-replacement scan with a recursive conditional-mass estimate.
 
     Scans a without-replacement sequence until the first acceptance or
-    until R = budget tokens have been checked. With ``q_i`` the conditional
-    probability of the i-th draw and ``eta_i`` the prior's total times the
-    product of ``(1 - q_j)`` over the rejections so far: stopping at the
-    budget gives ``zhat = eta`` on acceptance and 0 otherwise; stopping
-    early on an acceptance spends one extra probe draw from the remaining
-    pool and gives ``eta_n`` if the probe is valid, else ``q_n * eta_n``.
-    At most R scan evaluations plus one probe per run.
+    until R = budget tokens have been checked. The recursive estimate,
+    the prior's total times the product of ``1 - q`` over the rejections
+    (``q`` a draw's probability given the pool it was drawn from),
+    telescopes to the pool mass left after them. A run rejected at check
+    R, or that has rejected every positive-mass token, is dead
+    (``zhat = 0``). An acceptance at check R, or of the pool's last
+    positive-mass token, gives the pool mass at acceptance. An earlier
+    acceptance spends one probe draw from the pool left without the
+    accepted token: a valid probe gives the pool mass at acceptance, an
+    invalid one the accepted token's prior mass (its ``q`` times that pool
+    mass). At most R scan evaluations plus one probe per run.
     """
     check_knobs(budget=budget)
     R = int(budget)
-    return BatchWeighted(*_chunked(_rawrs_chunk, prior, c, n, rng, R))
+    tokens, zhats, trials = _chunked(_rawrs, prior, c, n, rng, R)
+    assert np.all(trials <= R + 1)
+    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
 
 
 # ---------------------------------------------------------------------------

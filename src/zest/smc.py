@@ -163,7 +163,10 @@ def resample_stratified(weights, rng: np.random.Generator) -> np.ndarray:
     p = _normalized(weights)
     n = p.shape[0]
     u = (np.arange(n) + rng.random(n)) / n
-    return np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), n - 1)
+    # The last stratum's uniform can round up to 1.0, at or past every
+    # cumulative weight: it takes the last particle of positive weight, not
+    # a dead one after it.
+    return np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), np.flatnonzero(p)[-1])
 
 
 _RESAMPLERS = {

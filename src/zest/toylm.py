@@ -40,6 +40,8 @@ class ToyLM:
 
     def __post_init__(self):
         self.alphabet = tuple(self.alphabet)
+        if self.order < 0 or self.max_len < 0:
+            raise ValueError(f"order and max_len must be >= 0, not {self.order} and {self.max_len}")
         width = len(self.alphabet) + 1
         for ctx, row in list(self.tables.items()):
             row = np.asarray(row, dtype=np.float64)
@@ -66,7 +68,7 @@ class ToyLM:
         At ``len(prefix) == max_len`` the distribution is a forced point
         mass on end-of-string, which is what keeps the support finite.
         Returned objects are cached per context and shared; treat them as
-        immutable.
+        immutable. A context with no table row raises ValueError.
         """
         if len(prefix) > self.max_len:
             raise PrefixTooLong(f"prefix of length {len(prefix)} exceeds max_len {self.max_len}")
@@ -79,7 +81,10 @@ class ToyLM:
         ctx = self.context_key(prefix)
         dist = self._dist_cache.get(ctx)
         if dist is None:
-            dist = self._dist_cache[ctx] = Categorical(self.tables[ctx])
+            row = self.tables.get(ctx)
+            if row is None:
+                raise ValueError(f"the model has no table row for the context {ctx!r}")
+            dist = self._dist_cache[ctx] = Categorical(row)
         return dist
 
     def string_prob(self, s: str) -> float:

@@ -14,6 +14,8 @@ pools far smaller than the rounding error of 1, are handled exactly.
 ``support`` enumerates a model's whole support with
 ``zest.oracle.global_posterior``, and ``likeliest`` ranks it.
 ``FixedUniforms`` stands in for a generator whose uniforms a test picks.
+``tv`` is the total variation distance between two estimated or exact
+distributions given as dicts.
 """
 
 from __future__ import annotations
@@ -256,6 +258,12 @@ def output_marginals(traces, vocab) -> np.ndarray:
     for p, tok, _, _ in traces:
         out[tok] += p
     return out
+
+
+def tv(a: dict, b: dict) -> float:
+    """Total variation distance between two distributions given as {outcome: mass} dicts."""
+    keys = set(a) | set(b)
+    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 class FixedUniforms:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enumeration import likeliest
+from enumeration import likeliest, tv
 from zest import samplers as S
 from zest.constraints import TrieLanguage, mask_constraint
 from zest.oracle import global_posterior
@@ -31,11 +31,6 @@ def verdict(capsys, number, ok, detail):
     with capsys.disabled():
         print(f"\nACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def tv_dicts(a, b):
-    keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 def test_criterion_1_exactness_vs_masking_oracle(capsys):
@@ -56,8 +51,7 @@ def test_criterion_1_exactness_vs_masking_oracle(capsys):
         for name, fn in runners.items():
             tokens = fn(prior, mask_constraint(valid), make_rng(SEED, 3, i))
             emp = np.bincount(tokens, minlength=50) / n
-            tv = 0.5 * float(np.abs(emp - post).sum())
-            worst[name] = max(worst.get(name, 0.0), tv)
+            worst[name] = max(worst.get(name, 0.0), 0.5 * float(np.abs(emp - post).sum()))
     elapsed = time.perf_counter() - t0
     ok = all(v < 0.01 for v in worst.values()) and elapsed <= budget_s
     detail = (
@@ -224,7 +218,7 @@ def test_criterion_7_smc_posterior_convergence(capsys):
         lang = TrieLanguage(strings, alphabet=lm.alphabet)
         ens = smc_pwp(lm, lang, proposal="awrs", n_particles=10**4, tau=0.5, seed=9000 + i)
         exact = global_posterior(lm, lang).dist
-        worst = max(worst, tv_dicts(ens.posterior_estimate, exact))
+        worst = max(worst, tv(ens.posterior_estimate, exact))
     ok = worst < 0.05
     detail = f"20 random (model, language) pairs at 1e4 particles: worst TV {worst:.4f} (tol 0.05)"
     verdict(capsys, 7, ok, detail)

@@ -335,20 +335,25 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            '{"alphabet": ["a"]}',
-            "{not json",
-            json.dumps({"alphabet": ["a"], "k": 0, "max_len": 2, "tables": {"": [0.5, 0.25, 0.25]}}),
+            ('{"alphabet": ["a"]}', "malformed model"),
+            ("{not json", "malformed model"),
+            (json.dumps({"alphabet": ["a"], "k": 0, "max_len": 2, "tables": {"": [0.5, 0.25, 0.25]}}),
+             "malformed model"),
+            (json.dumps({"alphabet": ["a"], "k": 0, "max_len": -1, "tables": {"": [0.5, 0.5]}}), "malformed model"),
+            # A context the run reaches has no row: found at the first draw from it.
+            (json.dumps({"alphabet": ["a", "b"], "k": 1, "max_len": 3, "tables": {"": [0.5, 0.4, 0.1]}}),
+             "no table row for the context 'a'"),
         ],
-        ids=["missing-key", "bad-json", "wrong-width-row"],
+        ids=["missing-key", "bad-json", "wrong-width-row", "negative-max-len", "missing-context"],
     )
-    def test_malformed_model_is_two(self, runner, tmp_path, text):
+    def test_malformed_model_is_two(self, runner, tmp_path, text, message):
         model = tmp_path / "model.json"
         model.write_text(text, encoding="utf-8")
         result = runner.invoke(main, ["generate", "--model", str(model), "--language", "{a}", "--method", "is"])
         assert result.exit_code == 2, result.output
-        assert "malformed model" in result.output
+        assert message in result.output
 
     @pytest.mark.parametrize(
         "method, error",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from enumeration import FixedUniforms, likeliest
+from enumeration import FixedUniforms, likeliest, tv
 from zest.constraints import DfaPattern, TrieLanguage
 from zest.dist import sample_many
 from zest.errors import AllDead, DeadPrefix
@@ -22,11 +22,6 @@ from zest.smc import (
     weighted_proposal,
 )
 from zest.toylm import ToyLM, example_a1, random_lm
-
-
-def tv(a: dict, b: dict) -> float:
-    keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 @pytest.fixture
@@ -160,6 +155,15 @@ class TestResampling:
         w = np.array([0.0, 1.0, 0.0, 1.0, 2.0])
         idx = resample_multinomial(w, FixedUniforms([0.5, 0.0, 0.25, 0.75, 0.999]))
         np.testing.assert_array_equal(idx, [4, 1, 3, 4, 4])
+
+    def test_stratified_uniform_rounding_to_one_takes_no_dead_particle(self):
+        # (5 + nextafter(1, 0)) / 6 rounds to exactly 1.0, past every
+        # cumulative weight: the last stratum takes the last particle of
+        # positive weight, not a dead one after it.
+        u = FixedUniforms(np.full(6, np.nextafter(1.0, 0.0)))
+        np.testing.assert_array_equal(resample_stratified(np.array([0.3] * 5 + [0.0]), u), [0, 1, 2, 3, 4, 4])
+        w = np.array([0.0, 0.3, 0.0, 0.3, 0.0, 0.0])
+        np.testing.assert_array_equal(resample_stratified(w, u), [1, 1, 3, 3, 3, 3])
 
     def test_all_dead(self):
         with pytest.raises(AllDead):

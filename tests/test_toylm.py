@@ -102,3 +102,14 @@ class TestJsonFormat:
     def test_rejects_malformed_rows(self):
         with pytest.raises(ValueError):
             ToyLM(alphabet=("a",), order=1, max_len=2, tables={"": np.array([0.5, 0.4])})
+
+    @pytest.mark.parametrize("order, max_len", [(-1, 2), (0, -1)])
+    def test_rejects_negative_order_or_length(self, order, max_len):
+        with pytest.raises(ValueError, match=">= 0"):
+            ToyLM(alphabet=("a",), order=order, max_len=max_len, tables={"": np.array([0.5, 0.5])})
+
+    def test_missing_context_row_names_the_context(self):
+        lm = ToyLM(alphabet=("a", "b"), order=1, max_len=3, tables={"": np.array([0.5, 0.4, 0.1])})
+        assert lm.next_dist("").probs[0] == 0.5
+        with pytest.raises(ValueError, match="'b'"):
+            lm.next_dist("ab")
