@@ -47,10 +47,6 @@ BUILTIN_LANGUAGES = {
 }
 
 
-def _fail_config(msg: str):
-    raise click.UsageError(msg)
-
-
 def _load_model(source: str) -> ToyLM:
     if source in BUILTIN_MODELS:
         return builtin_model(source)
@@ -59,14 +55,14 @@ def _load_model(source: str) -> ToyLM:
             return ToyLM.from_json(source)
         except (ValueError, TypeError, OSError) as e:
             # ValueError: bad JSON, a missing key or a bad table row; TypeError: a field of the wrong type.
-            _fail_config(f"malformed model: {e}")
-    _fail_config(f"unknown model {source!r}: not a builtin name or a readable JSON file")
+            raise click.UsageError(f"malformed model: {e}")
+    raise click.UsageError(f"unknown model {source!r}: not a builtin name or a readable JSON file")
 
 
 def _load_language(lm: ToyLM, language, language_file, pattern):
     given = [x for x in (language, language_file, pattern) if x]
     if len(given) > 1:
-        _fail_config("give at most one of --language / --language-file / --pattern")
+        raise click.UsageError("give at most one of --language / --language-file / --pattern")
     if language is not None:
         if language in BUILTIN_LANGUAGES:
             strings = BUILTIN_LANGUAGES[language]
@@ -74,7 +70,7 @@ def _load_language(lm: ToyLM, language, language_file, pattern):
             body = language[1:-1].strip()
             strings = tuple(s.strip() for s in body.split(",") if s.strip() != "") if body else ()
         else:
-            _fail_config("--language expects '{s1,s2,...}' or a builtin name")
+            raise click.UsageError("--language expects '{s1,s2,...}' or a builtin name")
     try:
         if language is not None:
             return TrieLanguage(strings, alphabet=lm.alphabet)
@@ -85,9 +81,9 @@ def _load_language(lm: ToyLM, language, language_file, pattern):
         dfa = DfaPattern.from_json(pattern)
     except (ValueError, TypeError, OSError) as e:
         # ValueError: bad symbol, state or JSON; TypeError: a JSON field of the wrong type.
-        _fail_config(f"malformed constraint: {e}")
+        raise click.UsageError(f"malformed constraint: {e}")
     if dfa.alphabet != lm.alphabet:
-        _fail_config("pattern alphabet does not match the model alphabet")
+        raise click.UsageError("pattern alphabet does not match the model alphabet")
     return dfa
 
 
@@ -110,38 +106,36 @@ def main():
     """Constrained sampling runs and simulation sweeps."""
 
 
-# Run-descriptor keys accepted by --config; command-line flags that were
-# given explicitly take precedence over the file.
-_CONFIG_KEYS = {
-    "model": "model", "language": "language", "language_file": "language_file",
-    "pattern": "pattern", "method": "method", "sampler": "sampler",
-    "N": "n", "n": "n", "tau": "tau", "L": "extra_loops", "extra_loops": "extra_loops",
-    "theta0": "theta0", "theta1": "theta1", "R": "budget", "budget": "budget",
-    "top_p": "top_p", "resample": "resample",
-    "seed": "seed", "out": "out",
-}
+# The paper's short names, accepted in a run descriptor beside the option names.
+_SHORT_NAMES = {"N": "n", "L": "extra_loops", "R": "budget"}
 
 
-def _apply_config(ctx, path, values: dict):
-    """Fill the options not given by flag from the run descriptor."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    unknown = set(doc) - set(_CONFIG_KEYS)
+def _load_config(ctx, param, path):
+    """Make the run descriptor at ``path`` the defaults of the other options.
+
+    Click then type-casts its values, and a flag given explicitly wins.
+    """
+    if path is None:
+        return
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as e:
+        raise click.BadParameter(f"not JSON: {e}", ctx, param) from None
+    if not isinstance(doc, dict):
+        raise click.BadParameter("a run descriptor is a JSON object", ctx, param)
+    values = {_SHORT_NAMES.get(key, key): value for key, value in doc.items() if value is not None}
+    unknown = set(values) - {p.name for p in ctx.command.params if p is not param}
     if unknown:
-        _fail_config(f"unknown run-descriptor keys {sorted(unknown)}")
-    params = {p.name: p for p in ctx.command.params}
-    for key, value in doc.items():
-        dest = _CONFIG_KEYS[key]
-        if value is not None and ctx.get_parameter_source(dest) == click.core.ParameterSource.DEFAULT:
-            # The flag's own type converts the file value.
-            values[dest] = params[dest].type_cast_value(ctx, value)
+        raise click.UsageError(f"unknown run-descriptor keys {sorted(unknown)}")
+    ctx.default_map = values
 
 
 # Options without a default here are absent unless given; the library
 # function a method calls holds their defaults and range checks.
 @main.command()
-@click.option("--config", default=None, type=click.Path(exists=True),
-              help="Run-descriptor JSON; explicit flags win over it.")
+@click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True, expose_value=False,
+              callback=_load_config, help="Run-descriptor JSON; explicit flags win over it.")
 @click.option("--model", default="example-a1", show_default=True, help="Builtin model name or ToyLM JSON path.")
 @click.option("--language", default=None, help="Inline '{s1,s2,...}' language or builtin name.")
 @click.option("--language-file", default=None, type=click.Path(exists=True), help="Newline-delimited strings file.")
@@ -158,23 +152,20 @@ def _apply_config(ctx, path, values: dict):
 @click.option("--resample", type=click.Choice(list(smc._RESAMPLERS)), default=None)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, help="Write result JSON here instead of stdout.")
-@click.pass_context
-def generate(ctx, config, **values):
+def generate(**values):
     """Run one generation method; emit the weighted ensemble as JSON."""
-    if config is not None:
-        _apply_config(ctx, config, values)
     method, n, seed, out = values["method"], values["n"], values["seed"], values["out"]
     if method is None:
-        _fail_config("--method is required (flag or run-descriptor)")
+        raise click.UsageError("--method is required (flag or run-descriptor)")
     given = {name: values[name] for name in _CONSTRAINT + _STEPS + _SAMPLER if values[name] is not None}
     ignored = [name for name in given if name not in METHOD_OPTIONS[method]]
     if ignored:
         flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
-        _fail_config(f"method {method!r} does not read {flags}")
+        raise click.UsageError(f"method {method!r} does not read {flags}")
     lm = _load_model(values["model"])
     family = _load_language(lm, values["language"], values["language_file"], values["pattern"])
     if method != "lm" and family is None:
-        _fail_config(f"method {method!r} needs a constraint (--language/--language-file/--pattern)")
+        raise click.UsageError(f"method {method!r} needs a constraint (--language/--language-file/--pattern)")
     options = {name: value for name, value in given.items() if name not in _CONSTRAINT}
     try:
         if values["top_p"] is not None:
@@ -186,7 +177,7 @@ def generate(ctx, config, **values):
     except ValueError as e:
         # The library refuses an out-of-range or inapplicable option before any
         # draw, and a model context with no table row when a run reaches it.
-        _fail_config(str(e))
+        raise click.UsageError(str(e))
     except ZestError as e:
         _emit({"error": {"type": type(e).__name__, "message": str(e)}, "method": method, "seed": seed}, out)
         sys.exit(3)
@@ -229,9 +220,21 @@ def experiment():
     """Batch sweeps writing CSV plus metadata JSON."""
 
 
-def _write_sweep(result: simharness.SweepResult, out_dir: Path, name: str):
-    csv_path = out_dir / f"{name}.csv"
-    meta_path = out_dir / f"{name}.meta.json"
+def _int_grid(ctx, param, value: str) -> list[int]:
+    try:
+        return [int(x) for x in value.split(",") if x]
+    except ValueError:
+        raise click.BadParameter(f"expects comma-separated integers, got {value!r}", ctx, param) from None
+
+
+def _run_sweep(sweep, name: str, out_dir: str | None, *args, **kwargs):
+    """Run one sweep and write its CSV and metadata JSON; a bad argument exits 2."""
+    try:
+        result = sweep(*args, **kwargs)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from None
+    d = _out_dir(out_dir)
+    csv_path, meta_path = d / f"{name}.csv", d / f"{name}.meta.json"
     result.to_csv(csv_path)
     result.metadata_json(meta_path)
     click.echo(json.dumps({"csv": str(csv_path), "metadata": str(meta_path), "rows": len(result.rows)}))
@@ -240,30 +243,28 @@ def _write_sweep(result: simharness.SweepResult, out_dir: Path, name: str):
 @experiment.command()
 @click.option("--vocab", default=1000, show_default=True)
 @click.option("--instances", default=100, show_default=True)
-@click.option("--n-grid", default="100,1000,10000", show_default=True)
+@click.option("--n-grid", default="100,1000,10000", show_default=True, callback=_int_grid)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--workers", default=1, show_default=True)
 @click.option("--out-dir", default=None)
 def bias(vocab, instances, n_grid, seed, workers, out_dir):
     """Estimator error versus Monte Carlo sample count."""
-    grid = [int(x) for x in n_grid.split(",") if x]
-    result = simharness.bias_experiment(vocab, instances, grid, seed, workers=workers)
-    _write_sweep(result, _out_dir(out_dir), f"bias_v{vocab}_seed{seed}")
+    _run_sweep(simharness.bias_experiment, f"bias_v{vocab}_seed{seed}", out_dir,
+               vocab, instances, n_grid, seed, workers=workers)
 
 
 @experiment.command()
 @click.option("--vocab", default=50, show_default=True)
 @click.option("--instances", default=20, show_default=True)
-@click.option("--l-grid", default="1,2,4,8", show_default=True)
+@click.option("--l-grid", default="1,2,4,8", show_default=True, callback=_int_grid)
 @click.option("--runs", default=10000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--workers", default=1, show_default=True)
 @click.option("--out-dir", default=None)
 def variance(vocab, instances, l_grid, runs, seed, workers, out_dir):
     """Estimator variance and call count versus extra loops."""
-    grid = [int(x) for x in l_grid.split(",") if x]
-    result = simharness.variance_vs_l(vocab, instances, grid, runs, seed, workers=workers)
-    _write_sweep(result, _out_dir(out_dir), f"variance_v{vocab}_seed{seed}")
+    _run_sweep(simharness.variance_vs_l, f"variance_v{vocab}_seed{seed}", out_dir,
+               vocab, instances, l_grid, runs, seed, workers=workers)
 
 
 @experiment.command()
@@ -274,22 +275,10 @@ def variance(vocab, instances, l_grid, runs, seed, workers, out_dir):
 @click.option("--workers", default=1, show_default=True)
 @click.option("--out-dir", default=None)
 def heatmap(vocab, dense, runs_per_cell, seed, workers, out_dir):
-    """Constraint-call counts over a (z, k) instance family.
-
-    Infeasible cells are flagged in the CSV; the run still exits 0 as
-    long as at least 99% of cells succeeded.
-    """
-    result = simharness.runtime_heatmap(
-        vocab, runs_per_cell=runs_per_cell, seed=seed, dense=dense, workers=workers
-    )
-    suffix = "dense" if dense else "corner"
-    _write_sweep(result, _out_dir(out_dir), f"heatmap_{suffix}_v{vocab}_seed{seed}")
-    n_cells = len(result.metadata["z_grid"]) * len(result.metadata["k_grid"])
-    n_bad = sum(1 for r in result.rows if r["metric"] == "infeasible")
-    if n_bad > 0.01 * n_cells:
-        click.echo(json.dumps({"error": {"type": "PartialFailure",
-                                         "message": f"{n_bad}/{n_cells} cells infeasible"}}))
-        sys.exit(3)
+    """Constraint-call counts over a (z, k) instance family."""
+    name = f"heatmap_{'dense' if dense else 'corner'}_v{vocab}_seed{seed}"
+    _run_sweep(simharness.runtime_heatmap, name, out_dir,
+               vocab, runs_per_cell=runs_per_cell, seed=seed, dense=dense, workers=workers)
 
 
 if __name__ == "__main__":

@@ -20,10 +20,11 @@ Token ids follow the convention of the toy language models: symbols are
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable
 
 import numpy as np
+
+from .jsondoc import read_json
 
 __all__ = [
     "EvalCounter",
@@ -159,15 +160,7 @@ class DfaPattern:
 
         A missing key raises ValueError, as does malformed JSON text.
         """
-        if isinstance(source, dict):
-            doc = source
-        else:
-            source = str(source)
-            if source.lstrip().startswith("{"):
-                doc = json.loads(source)
-            else:
-                with open(source, encoding="utf-8") as fh:
-                    doc = json.load(fh)
+        doc = read_json(source)
         try:
             fields = {key: doc[key] for key in ("states", "alphabet", "transitions", "accepting")}
         except KeyError as e:

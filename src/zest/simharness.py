@@ -111,53 +111,56 @@ def _ci95(values: np.ndarray) -> tuple[float, float, float]:
     return mean, mean - half, mean + half
 
 
-# ---------------------------------------------------------------------------
-# Estimator-bias sweep
+def _check(minimum: int, **values):
+    """Refuse a count below ``minimum``, or a grid that is empty or has an entry below it."""
+    for name, value in values.items():
+        if isinstance(value, list):
+            if not value or min(value) < minimum:
+                raise ValueError(f"{name} must be non-empty with every entry >= {minimum}, got {value}")
+        elif value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 # Stream addressing shared by the sweeps: instance construction draws
 # from (seed, 2, idx); a sampler run draws from (seed, 3, idx, kind, L)
-# with kind 0 for the with-replacement sampler and 1 for the adaptive
-# one. Sweeps that run the same sampler at the same run count therefore
-# reuse identical draws, which the tests pin down.
-_WRS, _AWRS = 0, 1
+# with the sampler's stream kind from this table. Sweeps that run the
+# same sampler at the same run count therefore reuse identical draws,
+# which the tests pin down.
+_SAMPLERS = {"wrs": (wrs_batch, 0), "awrs": (awrs_batch, 1)}
 
 
 def sampler_stream(seed: int, instance: int, kind: int, extra_loops: int = 1):
     return make_rng(seed, 3, instance, kind, extra_loops)
 
 
-def _bias_one(args):
-    vocab, n_max, n_grid, samplers, seed, idx = args
+def _random_cell(vocab: int, seed: int, idx: int):
+    """Instance ``idx`` of a sweep, with its instance_id, Z, K and V columns."""
     prior, valid = random_instance(vocab, make_rng(seed, 2, idx))
-    z = float(prior.probs[valid].sum())
-    k = int(valid.sum())
+    return prior, valid, dict(instance_id=idx, Z=float(prior.probs[valid].sum()), K=int(valid.sum()), V=vocab)
+
+
+def _calls_row(base: dict, sampler: str, trials: np.ndarray) -> dict:
+    mean, lo, hi = _ci95(trials.astype(float))
+    return dict(base, sampler=sampler, metric="mean_calls", value=mean, ci_lo=lo, ci_hi=hi)
+
+
+# ---------------------------------------------------------------------------
+# Estimator-bias sweep
+
+
+def _bias_one(args):
+    vocab, n_grid, seed, idx = args
+    prior, valid, cols = _random_cell(vocab, seed, idx)
     rows = []
-    for name in samplers:
-        if name == "wrs":
-            out = wrs_batch(prior, mask_constraint(valid), n_max, sampler_stream(seed, idx, _WRS))
-        elif name == "awrs":
-            out = awrs_batch(prior, mask_constraint(valid), n_max, sampler_stream(seed, idx, _AWRS))
-        elif name == "exact":
-            out = None
-        else:
-            raise ValueError(f"unknown sampler {name!r}")
+    for name, (kernel, kind) in _SAMPLERS.items():
+        zhats = kernel(prior, mask_constraint(valid), n_grid[-1], sampler_stream(seed, idx, kind)).zhats
         for n in n_grid:
-            err = 0.0 if out is None else abs(float(out.zhats[:n].mean()) - z)
-            rows.append(
-                dict(instance_id=idx, sampler=name, Z=z, K=k, V=vocab, L=1, N=n, metric="abs_err", value=err)
-            )
+            err = abs(float(zhats[:n].mean()) - cols["Z"])
+            rows.append(dict(cols, sampler=name, L=1, N=n, metric="abs_err", value=err))
     return rows
 
 
-def bias_experiment(
-    vocab: int,
-    n_instances: int,
-    n_grid: list[int],
-    seed: int,
-    samplers: tuple[str, ...] = ("wrs", "awrs"),
-    workers: int = 1,
-) -> SweepResult:
+def bias_experiment(vocab: int, n_instances: int, n_grid: list[int], seed: int, workers: int = 1) -> SweepResult:
     """Mean absolute error of the z estimates as the sample count grows.
 
     For each instance and sampler, draws max(n_grid) weighted samples and
@@ -165,9 +168,10 @@ def bias_experiment(
     the across-instance MAE with a 95% CI.
     """
     n_grid = sorted(int(n) for n in n_grid)
-    jobs = [(vocab, n_grid[-1], n_grid, samplers, seed, i) for i in range(n_instances)]
+    _check(1, vocab=vocab, n_instances=n_instances, n_grid=n_grid, workers=workers)
+    jobs = [(vocab, n_grid, seed, i) for i in range(n_instances)]
     rows = [r for chunk in _run_jobs(_bias_one, jobs, workers) for r in chunk]
-    for name in samplers:
+    for name in _SAMPLERS:
         for n in n_grid:
             errs = np.array(
                 [r["value"] for r in rows if r["sampler"] == name and r["N"] == n and r["metric"] == "abs_err"]
@@ -176,7 +180,7 @@ def bias_experiment(
             rows.append(
                 dict(instance_id="all", sampler=name, V=vocab, L=1, N=n, metric="mae", value=mean, ci_lo=lo, ci_hi=hi)
             )
-    meta = dict(kind="bias", vocab=vocab, n_instances=n_instances, n_grid=n_grid, samplers=list(samplers), seed=seed)
+    meta = dict(kind="bias", vocab=vocab, n_instances=n_instances, n_grid=n_grid, samplers=list(_SAMPLERS), seed=seed)
     return SweepResult(rows=rows, metadata=meta).sort()
 
 
@@ -186,35 +190,18 @@ def bias_experiment(
 
 def _variance_one(args):
     vocab, l_grid, runs, seed, idx = args
-    prior, valid = random_instance(vocab, make_rng(seed, 2, idx))
-    z = float(prior.probs[valid].sum())
-    k = int(valid.sum())
+    prior, valid, cols = _random_cell(vocab, seed, idx)
     rows = []
-    for L in l_grid:
-        out = wrs_batch(prior, mask_constraint(valid), runs, sampler_stream(seed, idx, _WRS, L), extra_loops=L)
-        rows.append(
-            dict(instance_id=idx, sampler="wrs", Z=z, K=k, V=vocab, L=L, N=runs,
-                 metric="var_zhat", value=float(np.var(out.zhats)))
-        )
-        mean, lo, hi = _ci95(out.trials.astype(float))
-        rows.append(
-            dict(instance_id=idx, sampler="wrs", Z=z, K=k, V=vocab, L=L, N=runs,
-                 metric="mean_calls", value=mean, ci_lo=lo, ci_hi=hi)
-        )
-        rows.append(
-            dict(instance_id=idx, sampler="wrs-analytic", Z=z, K=k, V=vocab, L=L,
-                 metric="expected_calls", value=analytics.wrs_expected_calls(z, L))
-        )
-    out = awrs_batch(prior, mask_constraint(valid), runs, sampler_stream(seed, idx, _AWRS))
-    rows.append(
-        dict(instance_id=idx, sampler="awrs", Z=z, K=k, V=vocab, L=1, N=runs,
-             metric="var_zhat", value=float(np.var(out.zhats)))
-    )
-    mean, lo, hi = _ci95(out.trials.astype(float))
-    rows.append(
-        dict(instance_id=idx, sampler="awrs", Z=z, K=k, V=vocab, L=1, N=runs,
-             metric="mean_calls", value=mean, ci_lo=lo, ci_hi=hi)
-    )
+    # wrs at every L of the grid; awrs at its one operating point, L = 1.
+    for name, L, knobs in [("wrs", L, dict(extra_loops=L)) for L in l_grid] + [("awrs", 1, {})]:
+        kernel, kind = _SAMPLERS[name]
+        out = kernel(prior, mask_constraint(valid), runs, sampler_stream(seed, idx, kind, L), **knobs)
+        base = dict(cols, L=L, N=runs)
+        rows.append(dict(base, sampler=name, metric="var_zhat", value=float(np.var(out.zhats))))
+        rows.append(_calls_row(base, name, out.trials))
+        if name == "wrs":
+            rows.append(dict(cols, sampler="wrs-analytic", L=L, metric="expected_calls",
+                             value=analytics.wrs_expected_calls(cols["Z"], L)))
     return rows
 
 
@@ -232,6 +219,7 @@ def variance_vs_l(
     loop) for comparison.
     """
     l_grid = sorted(int(v) for v in l_grid)
+    _check(1, vocab=vocab, n_instances=n_instances, l_grid=l_grid, runs=runs, workers=workers)
     jobs = [(vocab, l_grid, runs, seed, i) for i in range(n_instances)]
     rows = [r for chunk in _run_jobs(_variance_one, jobs, workers) for r in chunk]
     meta = dict(kind="variance", vocab=vocab, n_instances=n_instances, l_grid=l_grid, runs=runs, seed=seed)
@@ -254,17 +242,12 @@ def corner_grids(vocab: int, points: int = 20) -> tuple[list[float], list[int]]:
 
 def _heatmap_one(args):
     vocab, z, k, runs, seed, idx = args
-    rows = []
-    try:
-        prior, valid = placed_mass_instance(vocab, z, k)
-    except ValueError:
-        return [dict(instance_id=idx, sampler="none", Z=z, K=k, V=vocab, metric="infeasible", value=None)]
+    prior, valid = placed_mass_instance(vocab, z, k)
     base = dict(instance_id=idx, Z=z, K=k, V=vocab, L=1, N=runs)
-    for name, batch in (("wrs", wrs_batch), ("awrs", awrs_batch)):
-        out = batch(prior, mask_constraint(valid), runs, make_rng(seed, 6, idx, 0 if name == "wrs" else 1))
-        calls = out.trials.astype(float)
-        mean, lo, hi = _ci95(calls)
-        rows.append(dict(base, sampler=name, metric="mean_calls", value=mean, ci_lo=lo, ci_hi=hi))
+    rows = []
+    for name, (kernel, kind) in _SAMPLERS.items():
+        calls = kernel(prior, mask_constraint(valid), runs, make_rng(seed, 6, idx, kind)).trials.astype(float)
+        rows.append(_calls_row(base, name, calls))
         rows.append(dict(base, sampler=name, metric="sd_calls", value=float(np.std(calls))))
         rows.append(dict(base, sampler=name, metric="max_calls", value=float(calls.max())))
     rows.append(dict(base, sampler="wrs-analytic", metric="expected_calls",
@@ -288,8 +271,11 @@ def runtime_heatmap(
     ``dense`` tiles every k in 1..vocab-1 against an evenly spaced z grid,
     which is the configuration the analytic comparison uses; the default
     grids instead crowd toward the corners. Each cell also carries the
-    closed-form expected counts for both samplers.
+    closed-form expected counts for both samplers. Every cell must be one
+    that ``placed_mass_instance`` can build.
     """
+    _check(2, vocab=vocab)
+    _check(1, runs_per_cell=runs_per_cell, workers=workers)
     if dense:
         z_grid = z_grid or np.linspace(0.05, 0.95, 19).round(12).tolist()
         k_grid = k_grid or list(range(1, vocab))
@@ -297,12 +283,13 @@ def runtime_heatmap(
         default_z, default_k = corner_grids(vocab)
         z_grid = z_grid or default_z
         k_grid = k_grid or default_k
-    jobs = []
-    idx = 0
-    for z in z_grid:
-        for k in k_grid:
-            jobs.append((vocab, float(z), int(k), runs_per_cell, seed, idx))
-            idx += 1
+    cells = [(float(z), int(k)) for z in z_grid for k in k_grid]
+    for z, k in cells:
+        try:
+            placed_mass_instance(vocab, z, k)
+        except ValueError as e:
+            raise ValueError(f"infeasible cell (z={z}, k={k}) at vocab {vocab}: {e}") from None
+    jobs = [(vocab, z, k, runs_per_cell, seed, idx) for idx, (z, k) in enumerate(cells)]
     rows = [r for chunk in _run_jobs(_heatmap_one, jobs, workers) for r in chunk]
     meta = dict(
         kind="heatmap", vocab=vocab, z_grid=[float(z) for z in z_grid], k_grid=[int(k) for k in k_grid],
@@ -312,7 +299,7 @@ def runtime_heatmap(
 
 
 def _run_jobs(fn, jobs, workers: int):
-    if workers <= 1:
+    if workers == 1:
         return [fn(j) for j in jobs]
     # Imported here so that single-process callers do not pay for it.
     from concurrent.futures import ProcessPoolExecutor

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dist import Categorical
 from .errors import PrefixTooLong
+from .jsondoc import read_json
 from .rng import make_rng
 
 __all__ = ["ToyLM", "random_lm", "example_a1", "builtin_model", "BUILTIN_MODELS"]
@@ -114,15 +115,7 @@ class ToyLM:
         A missing key raises ValueError, as does malformed JSON text or a
         table row that is not a distribution of the right width.
         """
-        if isinstance(source, dict):
-            doc = source
-        else:
-            source = str(source)
-            if source.lstrip().startswith("{"):
-                doc = json.loads(source)
-            else:
-                with open(source, encoding="utf-8") as fh:
-                    doc = json.load(fh)
+        doc = read_json(source)
         try:
             alphabet, order, max_len, tables = (doc[key] for key in ("alphabet", "k", "max_len", "tables"))
         except KeyError as e:

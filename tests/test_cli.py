@@ -201,6 +201,27 @@ class TestGenerate:
         bad.write_text(json.dumps({"bogus_key": 1}), encoding="utf-8")
         assert runner.invoke(main, ["generate", "--config", str(bad)]).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "desc, flags",
+        [
+            ({"method": "is", "language": "{aa,ba}", "N": 200, "seed": 3}, ["--n", "200"]),
+            ({"method": "smc-awrs", "language": "{aa,ba}", "sampler": "wrs", "L": 2, "N": 200, "seed": 3},
+             ["--sampler", "wrs", "-L", "2", "--n", "200"]),
+            ({"method": "smc-awrs", "language": "{aa,ba}", "sampler": "cwrs", "R": 4, "n": 200, "seed": 3,
+              "tau": None}, ["--sampler", "cwrs", "-R", "4", "--n", "200"]),
+        ],
+        ids=["N", "L", "R"],
+    )
+    def test_run_descriptor_matches_flags(self, runner, tmp_path, desc, flags):
+        # The paper's short names N, L and R name the options --n, -L and -R.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(desc), encoding="utf-8")
+        by_config = run_json(runner, ["generate", "--config", str(cfg)])
+        by_flags = run_json(runner, ["generate", "--method", desc["method"], "--language", desc["language"],
+                                     "--seed", "3", *flags])
+        by_config.pop("wall_time"), by_flags.pop("wall_time")
+        assert by_config == by_flags
+
     def test_lcd_variants_exactness_at_scale(self, runner):
         # Both local-decoding paths sample the identical distribution:
         # total variation under 0.01 at 1e5 rollouts each.
@@ -316,6 +337,16 @@ class TestExitCodes:
         assert result.exit_code == 2 and "takes no" in result.output, result.output
 
     @pytest.mark.parametrize(
+        "text", ["{not json", "[1, 2]", json.dumps({"config": "other.json", "method": "lm"})],
+        ids=["bad-json", "not-an-object", "config-key"],
+    )
+    def test_malformed_run_descriptor_is_two(self, runner, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["generate", "--config", str(cfg)])
+        assert result.exit_code == 2 and "Error:" in result.output, result.output
+
+    @pytest.mark.parametrize(
         "constraint",
         [
             ["--language-file", "BADSYM"],
@@ -417,3 +448,34 @@ class TestExperiments:
         )
         assert result.exit_code == 0
         assert (tmp_path / "bias_v8_seed4.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bias", "--vocab", "0"],
+            ["variance", "--vocab", "0"],
+            ["bias", "--n-grid", ","],
+            ["bias", "--n-grid", "a,10"],
+            ["variance", "--l-grid", "0"],
+            ["heatmap", "--runs-per-cell", "0"],
+            ["heatmap", "--vocab", "1"],
+            ["bias", "--n-grid", "0"],
+            ["bias", "--instances", "0"],
+            ["variance", "--runs", "0"],
+            ["heatmap", "--vocab", "0"],
+            ["bias", "--workers", "0"],
+            ["variance", "--workers", "-2"],
+            ["heatmap", "--workers", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_argument_is_two(self, tmp_path, args):
+        # Refused before any job runs, with no traceback and no files. Each
+        # case runs in a subprocess under a timeout, because vocab 0 once
+        # made the instance draw loop forever.
+        env = dict(os.environ, PYTHONPATH=str(Path(zest.__file__).parents[1]))
+        cmd = [sys.executable, "-m", "zest.cli", "experiment", *args, "--out-dir", str(tmp_path / "out")]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "Error:" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        assert not (tmp_path / "out").exists()

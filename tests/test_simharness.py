@@ -45,11 +45,6 @@ class TestBiasExperiment:
         mets = {r["metric"] for r in res.rows}
         assert mets == {"abs_err", "mae"}
 
-    def test_exact_sampler_has_zero_error(self):
-        res = bias_experiment(vocab=10, n_instances=3, n_grid=[10, 50], seed=2, samplers=("exact",))
-        errs = [r["value"] for r in res.rows if r["metric"] == "abs_err"]
-        assert errs and all(e == 0.0 for e in errs)
-
     def test_error_shrinks_with_samples(self):
         # The 1/sqrt(N) rate predicts the error across instances to fall
         # tenfold from N=100 to N=10000; a threefold fall leaves room for noise.
@@ -65,6 +60,19 @@ class TestBiasExperiment:
         pa, pb, pc = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         a.to_csv(pa), b.to_csv(pb), c.to_csv(pc)
         assert pa.read_bytes() == pb.read_bytes() == pc.read_bytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"n_instances": 0}, {"n_grid": []}, {"n_grid": [10, 0]}, {"workers": 0}, {"workers": -2}],
+        ids=repr,
+    )
+    def test_bad_argument_is_refused(self, bad):
+        # Refused before any job runs; they used to return NaN or empty rows.
+        # vocab 0, which used to loop forever, is checked through the CLI
+        # under a timeout (tests/test_cli.py), so a regression cannot hang here.
+        args = {**dict(vocab=10, n_instances=2, n_grid=[10], seed=1), **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            bias_experiment(**args)
 
 
 class TestVarianceSweep:
@@ -108,14 +116,12 @@ class TestVarianceSweep:
     def test_shares_draws_with_bias_experiment_at_equal_config(self):
         # Same seed, same instance index, same run count: the L=1 rows of
         # both sweeps come from identical sampler draws.
-        import numpy as np
-
         from zest.constraints import mask_constraint
         from zest.samplers import wrs_batch
         from zest.simharness import sampler_stream
 
         seed, runs = 8, 3000
-        bias = bias_experiment(vocab=12, n_instances=2, n_grid=[runs], seed=seed, samplers=("wrs",))
+        bias = bias_experiment(vocab=12, n_instances=2, n_grid=[runs], seed=seed)
         var = variance_vs_l(vocab=12, n_instances=2, l_grid=[1], runs=runs, seed=seed)
         for idx in range(2):
             prior, valid = random_instance(12, make_rng(seed, 2, idx))
@@ -123,7 +129,7 @@ class TestVarianceSweep:
             out = wrs_batch(prior, mask_constraint(valid), runs, sampler_stream(seed, idx, 0, 1))
             bias_err = next(
                 r["value"] for r in bias.rows
-                if r["metric"] == "abs_err" and r["instance_id"] == idx and r["N"] == runs
+                if r["metric"] == "abs_err" and r["sampler"] == "wrs" and r["instance_id"] == idx and r["N"] == runs
             )
             assert bias_err == abs(float(out.zhats.mean()) - z)
             var_val = next(
@@ -131,6 +137,16 @@ class TestVarianceSweep:
                 if r["metric"] == "var_zhat" and r["sampler"] == "wrs" and r["instance_id"] == idx
             )
             assert var_val == float(np.var(out.zhats))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"n_instances": 0}, {"l_grid": []}, {"l_grid": [0, 1]}, {"runs": 0}, {"workers": 0}],
+        ids=repr,
+    )
+    def test_bad_argument_is_refused(self, bad):
+        args = {**dict(vocab=10, n_instances=2, l_grid=[1], runs=100, seed=1), **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            variance_vs_l(**args)
 
 
 class TestHeatmap:
@@ -155,9 +171,19 @@ class TestHeatmap:
             if r["sampler"] == "awrs" and r["metric"] == "max_calls":
                 assert r["value"] <= 6 - r["K"] + 2
 
-    def test_infeasible_cells_flagged(self):
-        res = runtime_heatmap(vocab=5, z_grid=[0.5], k_grid=[5], runs_per_cell=10, seed=10)
-        assert any(r["metric"] == "infeasible" for r in res.rows)
+    def test_infeasible_cell_is_refused(self):
+        # k = vocab forces z = 1, so the cell (0.5, 5) has no instance.
+        with pytest.raises(ValueError, match="infeasible cell"):
+            runtime_heatmap(vocab=5, z_grid=[0.5], k_grid=[2, 5], runs_per_cell=10, seed=10)
+
+    @pytest.mark.parametrize(
+        "bad", [{"vocab": 0}, {"vocab": 1}, {"runs_per_cell": 0}, {"workers": 0}], ids=repr
+    )
+    def test_bad_argument_is_refused(self, bad):
+        # vocab 1 and runs_per_cell 0 used to raise deep inside the sweep, and vocab 0 wrote no rows.
+        args = {**dict(vocab=5, runs_per_cell=10, seed=1), **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            runtime_heatmap(**args)
 
     def test_corner_grids_shape(self):
         z_grid, k_grid = corner_grids(1000)
