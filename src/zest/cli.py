@@ -131,6 +131,11 @@ def _load_config(ctx, param, path):
     ctx.default_map = values
 
 
+# Every command's --seed: the root of every random stream, a non-negative
+# integer as ``rng.make_rng`` requires.
+_seed_option = click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
+
+
 # Options without a default here are absent unless given; the library
 # function a method calls holds their defaults and range checks.
 @main.command()
@@ -150,7 +155,7 @@ def _load_config(ctx, param, path):
 @click.option("--budget", "-R", type=int, default=None)
 @click.option("--top-p", type=float, default=None)
 @click.option("--resample", type=click.Choice(list(smc._RESAMPLERS)), default=None)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--out", default=None, help="Write result JSON here instead of stdout.")
 def generate(**values):
     """Run one generation method; emit the weighted ensemble as JSON."""
@@ -244,7 +249,7 @@ def _run_sweep(sweep, name: str, out_dir: str | None, *args, **kwargs):
 @click.option("--vocab", default=1000, show_default=True)
 @click.option("--instances", default=100, show_default=True)
 @click.option("--n-grid", default="100,1000,10000", show_default=True, callback=_int_grid)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--workers", default=1, show_default=True)
 @click.option("--out-dir", default=None)
 def bias(vocab, instances, n_grid, seed, workers, out_dir):
@@ -258,7 +263,7 @@ def bias(vocab, instances, n_grid, seed, workers, out_dir):
 @click.option("--instances", default=20, show_default=True)
 @click.option("--l-grid", default="1,2,4,8", show_default=True, callback=_int_grid)
 @click.option("--runs", default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--workers", default=1, show_default=True)
 @click.option("--out-dir", default=None)
 def variance(vocab, instances, l_grid, runs, seed, workers, out_dir):
@@ -271,7 +276,7 @@ def variance(vocab, instances, l_grid, runs, seed, workers, out_dir):
 @click.option("--vocab", default=1000, show_default=True)
 @click.option("--dense", is_flag=True, help="Tile every k against an even z grid (analytic comparison).")
 @click.option("--runs-per-cell", default=100, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--workers", default=1, show_default=True)
 @click.option("--out-dir", default=None)
 def heatmap(vocab, dense, runs_per_cell, seed, workers, out_dir):

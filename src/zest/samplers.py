@@ -169,8 +169,7 @@ class _Removed:
     def __init__(self, n_runs: int, prior: Categorical):
         self.prior = prior
         self.probs = prior.probs
-        # A pairwise sum: at V = 1e5 the sequential cumulative total is off by up to 2.3e-12.
-        self.total = float(self.probs.sum())
+        self.total = prior.total
         cols = (prior.vocab_size + 7) >> 3
         size = n_runs * cols
         if size < _SPARE_MIN_BYTES:
@@ -185,8 +184,6 @@ class _Removed:
         # False until a token is removed: a draw from untouched pools is a
         # plain prior draw and checks no removed bits.
         self.depleted = False
-        # At V <= 8, the cumulative pool of every byte of removed bits.
-        self._byte_pools = None
 
     def release(self):
         """Hand a large pool's bit buffer to the next large pool; this pool is unusable after."""
@@ -298,16 +295,11 @@ class _Removed:
 
     def _cum_pools(self, rows: np.ndarray) -> np.ndarray:
         """(rows x V) cumulative prior masses over each row's pool."""
-        vocab = self.probs.shape[0]
-        if vocab > 8:
+        if self.probs.shape[0] > 8:
             return np.cumsum(self._pool(rows), axis=1)
         # A pool of at most 8 tokens is fixed by its row's one byte, so the
-        # rows gather from the cumulative pools of every byte value.
-        if self._byte_pools is None:
-            byte = np.arange(1 << vocab, dtype=np.uint8)[:, None]
-            removed = np.unpackbits(byte, axis=1, count=vocab, bitorder="little")
-            self._byte_pools = np.cumsum(np.where(removed, 0.0, self.probs[None, :]), axis=1)
-        return self._byte_pools[self.bits[rows, 0]]
+        # rows gather from the prior's cumulative pools of every byte value.
+        return self.prior.byte_pools()[self.bits[rows, 0]]
 
     def _draw_exact(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         vocab = self.probs.shape[0]
@@ -496,17 +488,20 @@ def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
     """
     tokens = np.empty(n, dtype=np.int64)
     trials = np.empty(n, dtype=np.int64)
-    nrej = np.zeros(n, dtype=np.int64)
-    # The pool mass when the first loop ends, and the factor on zhat: one
-    # plus the second-loop rejections after a valid probe, 0 for a dead run.
+    # The pool mass when the first loop ends.
     left0 = np.zeros(n)
-    boost = np.ones(n)
     alive = np.arange(n)
     # Whether each running run is in its second loop, aligned with ``alive``.
     # A running run draws once per round, so its trials are the round it ends in.
     second = np.zeros(n, dtype=bool)
     clipped = theta0 < math.inf
     if clipped:
+        # Unclipped, a run ends on its (L + 1)-th acceptance, so its
+        # rejections are its trials minus L + 1; clipped runs count theirs.
+        nrej = np.zeros(n, dtype=np.int64)
+        # The factor on zhat: one plus the second-loop rejections after a
+        # valid probe, 0 for a dead run.
+        boost = np.ones(n)
         # Whether the run's first loop passed theta0: it probes next, or
         # its second loop is boosted.
         crossed = np.zeros(n, dtype=bool)
@@ -524,9 +519,6 @@ def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
             rej &= ~probing
         rows = alive[rej]
         rem.add(rows, cand[rej])
-        # At L = 0 the run keeps no weight: its rejections and pool go uncounted.
-        if L:
-            nrej[rows] += 1
         # The first acceptance, or a valid probe, keeps its token; acceptances
         # are not removed, so the token stays in the second loop's pool.
         first = ok & ~second
@@ -534,6 +526,7 @@ def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
         ends = first
         stop = ok & second if L else ok
         if clipped:
+            nrej[rows] += 1
             boost[alive[rej & crossed]] += 1.0
             mass = rem.mass[alive]
             cross = rej & ~second & (mass > theta0)
@@ -555,7 +548,10 @@ def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
         alive, second = alive[keep], (second | ok)[keep]
         if clipped:
             crossed = crossed[keep]
-    return tokens, boost * (left0 / (nrej + 1.0)), trials
+    if clipped:
+        return tokens, boost * (left0 / (nrej + 1.0)), trials
+    # At L = 0 the run keeps no weight: left0 is never set and zhat is 0.
+    return tokens, left0 / (trials - L), trials
 
 
 def ars_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchTokens:

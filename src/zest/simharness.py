@@ -270,19 +270,21 @@ def runtime_heatmap(
 
     ``dense`` tiles every k in 1..vocab-1 against an evenly spaced z grid,
     which is the configuration the analytic comparison uses; the default
-    grids instead crowd toward the corners. Each cell also carries the
+    grids instead crowd toward the corners; a grid left as None takes its
+    default, and an empty one is refused. Each cell also carries the
     closed-form expected counts for both samplers. Every cell must be one
     that ``placed_mass_instance`` can build.
     """
     _check(2, vocab=vocab)
     _check(1, runs_per_cell=runs_per_cell, workers=workers)
     if dense:
-        z_grid = z_grid or np.linspace(0.05, 0.95, 19).round(12).tolist()
-        k_grid = k_grid or list(range(1, vocab))
+        default_z, default_k = np.linspace(0.05, 0.95, 19).round(12).tolist(), list(range(1, vocab))
     else:
         default_z, default_k = corner_grids(vocab)
-        z_grid = z_grid or default_z
-        k_grid = k_grid or default_k
+    z_grid = default_z if z_grid is None else z_grid
+    k_grid = default_k if k_grid is None else k_grid
+    if len(z_grid) == 0 or len(k_grid) == 0:
+        raise ValueError(f"z_grid and k_grid must be non-empty, got {list(z_grid)} and {list(k_grid)}")
     cells = [(float(z), int(k)) for z in z_grid for k in k_grid]
     for z, k in cells:
         try:

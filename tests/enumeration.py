@@ -15,12 +15,14 @@ pools far smaller than the rounding error of 1, are handled exactly.
 ``zest.oracle.global_posterior``, and ``likeliest`` ranks it.
 ``FixedUniforms`` stands in for a generator whose uniforms a test picks.
 ``tv`` is the total variation distance between two estimated or exact
-distributions given as dicts.
+distributions given as dicts. ``within_z`` checks an estimate against its
+exact value at a stated false-alarm rate.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.stats import norm
 
 from zest.constraints import DfaPattern
 from zest.oracle import global_posterior
@@ -264,6 +266,22 @@ def tv(a: dict, b: dict) -> float:
     """Total variation distance between two distributions given as {outcome: mass} dicts."""
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+
+
+# The two-sided false-alarm rate of ``within_z``: a correct estimator
+# fails the check in about one run in a million.
+FALSE_ALARM = 1e-6
+
+
+def within_z(estimate: float, exact: float, se: float) -> bool:
+    """Whether ``estimate`` lies within the two-sided normal ``FALSE_ALARM`` quantile of ``exact``.
+
+    ``se`` is the estimate's standard error under a correct estimator, so
+    a correct one fails with probability about ``FALSE_ALARM`` (the band
+    is 4.9 se); an estimator off by about 5 se or more fails with
+    probability about one half or more.
+    """
+    return abs(estimate - exact) <= norm.isf(FALSE_ALARM / 2.0) * se
 
 
 class FixedUniforms:

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import zest
-from enumeration import likeliest
+from enumeration import likeliest, within_z
 from zest import smc
 from zest.cli import METHOD_OPTIONS, main
 
@@ -54,11 +55,16 @@ class TestGenerate:
         assert out["eval_counts"] and out["wall_time"] > 0
 
     def test_builtin_language_name(self, runner):
+        # On example-a1 a rollout's weight is 0.01 (first symbol a, chance
+        # 0.9) or 0.99 (b, chance 0.1): g = 0.108 and the weight's SD is
+        # 0.294, so at n = 5000 the check's 4.9 se is 0.020.
+        n = 5000
         out = run_json(
             runner,
-            ["generate", "--language", "example-a1", "--method", "is", "--n", "500", "--seed", "1"],
+            ["generate", "--language", "example-a1", "--method", "is", "--n", str(n), "--seed", "1"],
         )
-        assert abs(out["g_hat"] - 0.108) < 0.02
+        sd = math.sqrt(0.9 * 0.01**2 + 0.1 * 0.99**2 - 0.108**2)
+        assert within_z(out["g_hat"], 0.108, sd / math.sqrt(n))
 
     def test_raw_model_method(self, runner):
         out = run_json(runner, ["generate", "--method", "lm", "--n", "400", "--seed", "3"])
@@ -260,6 +266,16 @@ class TestExitCodes:
         )  # symbol outside alphabet
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [["generate", "--method", "lm"], ["experiment", "bias"], ["experiment", "variance"], ["experiment", "heatmap"]],
+        ids=" ".join,
+    )
+    def test_negative_seed_is_two(self, runner, command):
+        # Refused by the option, which the message names, before any stream is made.
+        result = runner.invoke(main, [*command, "--seed", "-1"])
+        assert result.exit_code == 2 and "'--seed'" in result.output, result.output
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize(
         "bad",
@@ -305,7 +321,9 @@ class TestExitCodes:
         result = runner.invoke(main, ["generate", "--method", method, *base, "--config", str(cfg)])
         assert result.exit_code == 2 and "does not read" in result.output, result.output
         cfg.write_text(json.dumps({option: None}), encoding="utf-8")
-        assert run_json(runner, ["generate", "--method", method, *base, "--config", str(cfg), "--n", "5"])["n"] == 5
+        # smc-twist and sample-verify keep a particle with chance g = 0.108 on
+        # {aa,ba}, so all n die (exit 3) with chance 0.892^n: 1e-10 at n = 200.
+        assert run_json(runner, ["generate", "--method", method, *base, "--config", str(cfg), "--n", "200"])["n"] == 200
 
     @pytest.mark.parametrize("method", list(METHOD_OPTIONS))
     def test_max_steps_is_two(self, runner, tmp_path, method):

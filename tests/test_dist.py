@@ -77,3 +77,7 @@ class TestRng:
         a = make_rng(123, 0).random(10)
         b = make_rng(123, 1).random(10)
         assert not np.array_equal(a, b)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            make_rng(-1, 0)

@@ -879,6 +879,25 @@ class TestDeterminismAndConfig:
         for field in vars(out).values():
             assert field.shape == (0,)
 
+    @pytest.mark.parametrize("vocab", [3, 1000])
+    @pytest.mark.parametrize(
+        "batch",
+        [rs_batch, ars_batch, wrs_batch, awrs_batch, cawrs_batch, cwrs_batch, gawrs_batch, rawrs_batch],
+        ids=["rs", "ars", "wrs", "awrs", "cawrs", "cwrs", "gawrs", "rawrs"],
+    )
+    def test_reused_prior_matches_a_fresh_copy(self, batch, vocab):
+        # The tables a Categorical caches (total, cumulative sums, byte
+        # pools) must carry no pool state from one call to the next. One in
+        # three tokens is valid, so pools deplete and, at V = 3, draw from
+        # the byte-pool table.
+        prior = normalize(make_rng(75, vocab).random(vocab) + 0.1)
+        c = c_of(np.arange(vocab) % 3 == 2)
+        batch(prior, c, 200, make_rng(76))
+        reused = batch(prior, c, 200, make_rng(77))
+        fresh = batch(Categorical(prior.probs.copy()), c, 200, make_rng(77))
+        for a, b in zip(vars(reused).values(), vars(fresh).values()):
+            np.testing.assert_array_equal(a, b)
+
     def test_config_validation(self):
         # The same range checks guard the kernels and weighted_proposal.
         with pytest.raises(ValueError):

@@ -177,10 +177,13 @@ class TestHeatmap:
             runtime_heatmap(vocab=5, z_grid=[0.5], k_grid=[2, 5], runs_per_cell=10, seed=10)
 
     @pytest.mark.parametrize(
-        "bad", [{"vocab": 0}, {"vocab": 1}, {"runs_per_cell": 0}, {"workers": 0}], ids=repr
+        "bad",
+        [{"vocab": 0}, {"vocab": 1}, {"runs_per_cell": 0}, {"workers": 0}, {"z_grid": []}, {"k_grid": []}],
+        ids=repr,
     )
     def test_bad_argument_is_refused(self, bad):
-        # vocab 1 and runs_per_cell 0 used to raise deep inside the sweep, and vocab 0 wrote no rows.
+        # vocab 1 and runs_per_cell 0 used to raise deep inside the sweep, and
+        # vocab 0 wrote no rows; an empty grid used to run the default grid.
         args = {**dict(vocab=5, runs_per_cell=10, seed=1), **bad}
         with pytest.raises(ValueError, match=next(iter(bad))):
             runtime_heatmap(**args)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from enumeration import FixedUniforms, likeliest, tv
+from zest import smc
 from zest.constraints import DfaPattern, TrieLanguage
 from zest.dist import sample_many
 from zest.errors import AllDead, DeadPrefix
@@ -380,6 +381,37 @@ class TestGroupedEngine:
         assert ens.posterior_estimate["ba"] == pytest.approx(1.0)
 
 
+class TestStreams:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda lm, lang: smc_pwp(lm, lang, "awrs", 200, seed=4),
+            lambda lm, lang: smc_twist(lm, lang, 200, seed=4),
+            lambda lm, lang: lcd_sample(lm, lang, 200, seed=4),
+            lambda lm, lang: sample_verify(lm, lang, 200, seed=4),
+            lambda lm, lang: importance_sample(lm, lang, 200, seed=4),
+        ],
+        ids=["smc_pwp", "smc_twist", "lcd_sample", "sample_verify", "importance_sample"],
+    )
+    def test_one_stream_per_run(self, lm, lang, monkeypatch, run):
+        # Every group, resample and rollout of a run draws from stream
+        # (seed, 0): making a stream costs more than a small group's draws.
+        addresses = []
+
+        def counted(*address):
+            addresses.append(address)
+            return make_rng(*address)
+
+        monkeypatch.setattr(smc, "make_rng", counted)
+        run(lm, lang)
+        assert addresses == [(4, 0)]
+
+    def test_first_rollouts_are_a_smaller_run(self, lm, lang):
+        big, small = importance_sample(lm, lang, 1000, seed=5), importance_sample(lm, lang, 100, seed=5)
+        assert big.prefixes[:100] == small.prefixes
+        np.testing.assert_array_equal(big.weights[:100], small.weights)
+
+
 class TestRolloutLength:
     @pytest.mark.parametrize(
         "engine",
@@ -472,8 +504,8 @@ class TestImportanceSampling:
             importance_sample(lm, TrieLanguage(["a"], alphabet=lm.alphabet), n=20, seed=1)
 
     def test_tv_error_monotone_in_sample_count(self, lm, lang):
-        # Per-rollout streams make the first N particles of a big run
-        # identical to a size-N run, so the N grid shares draws.
+        # The rollouts draw from one stream in turn, so the first N particles
+        # of a big run are a size-N run and the N grid shares draws.
         exact = global_posterior(lm, lang).dist
         tvs = {100: [], 1000: [], 10000: []}
         for seed in range(9):
