@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .dist import Categorical
+from .samplers import check_knobs
 
 __all__ = [
     "wrs_expected_calls",
@@ -22,11 +23,13 @@ __all__ = [
 
 
 def wrs_expected_calls(z: float, extra_loops: int = 1) -> float:
-    """Expected constraint calls of the with-replacement sampler: (L+1)/z."""
+    """Expected constraint calls of the with-replacement sampler: (L+1)/z.
+
+    L must be an L the kernels take (``samplers.check_knobs``).
+    """
     if not (0.0 < z <= 1.0):
         raise ValueError("z must lie in (0, 1]")
-    if extra_loops < 1:
-        raise ValueError("extra_loops must be >= 1")
+    check_knobs(extra_loops=extra_loops)
     return (extra_loops + 1) / z
 
 
@@ -51,10 +54,10 @@ def awrs_expected_calls(prior: Categorical, valid: np.ndarray, extra_loops: int 
     Exact value: 1 + L + #invalid - sum over invalid x of (1 - q_x)^(L+1).
     Tokens with zero prior mass contribute nothing (q_x = 0 kills their
     term), matching the fact that they are never sampled. The (1-q)^(L+1)
-    factor is evaluated through log1p to stay accurate for tiny q.
+    factor is evaluated through log1p to stay accurate for tiny q. L must
+    be an L the kernels take (``samplers.check_knobs``).
     """
-    if extra_loops < 1:
-        raise ValueError("extra_loops must be >= 1")
+    check_knobs(extra_loops=extra_loops)
     q = distractor_probs(prior, valid)
     L = extra_loops
     # 1 - (1-q)^(L+1) via expm1/log1p, summed with compensation.

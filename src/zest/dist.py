@@ -3,7 +3,8 @@
 Probabilities are stored linearly (not in log space) as dense float64
 vectors; at the vocabulary sizes this library targets (<= 1e5) that is
 both simpler and faster than sparse or log-space storage. Zero-probability
-tokens are legal everywhere and are never sampled.
+tokens are legal everywhere and are never sampled, and a distribution with
+one supported token is sampled without drawing a uniform.
 """
 
 from __future__ import annotations
@@ -32,13 +33,20 @@ class Categorical:
     so a distribution that a model hands out again and again (a ToyLM
     shares one per context) pays for them once: ``total``, the pairwise sum
     of ``probs`` taken when the object is made; the cumulative sums of
-    ``cumulative``; and at V <= 8 the cumulative pool table of
-    ``byte_pools``. Treat ``probs`` as immutable: the tables are not rebuilt.
+    ``cumulative``, and with them the one supported token of a point mass;
+    and at V <= 8 the cumulative pool table of ``byte_pools``. Treat
+    ``probs`` as immutable: the tables are not rebuilt.
+
+    A point mass (one token of positive probability) is sampled without a
+    uniform: ``sample_many`` returns its token and leaves the generator
+    where it was.
     """
 
     probs: np.ndarray
     _cum: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _byte_pools: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # The supported token of a point mass, else -1; set by ``cumulative``.
+    _point: int = field(default=-1, repr=False, compare=False)
+    _byte_pools: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,25 +65,35 @@ class Categorical:
         return self.probs.shape[0]
 
     def cumulative(self) -> np.ndarray:
-        """Cached cumulative sums, shared by the inverse-CDF samplers."""
+        """Cached cumulative sums, shared by the inverse-CDF samplers.
+
+        The first call also looks for a point mass, so a distribution that
+        is never sampled (``token_mask`` makes one per step) never pays for
+        the check.
+        """
         if self._cum is None:
             self._cum = np.cumsum(self.probs)
+            if np.count_nonzero(self.probs) == 1:
+                self._point = int(self.probs.argmax())
         return self._cum
 
-    def byte_pools(self) -> np.ndarray:
+    def byte_pools(self) -> tuple[np.ndarray, np.ndarray]:
         """At V <= 8, the cumulative masses of every pool one byte can mark.
 
-        Row b is the cumulative sum of ``probs`` with token i zeroed where
-        bit i of b is set (little-endian bit order); the table has 2^V rows.
-        Cached, like ``cumulative``.
+        Column b of the first array (V x 2^V) is the cumulative sum of
+        ``probs`` with token i zeroed where bit i of b is set (little-endian
+        bit order), so a gather of n pools is V contiguous rows of n. Entry
+        b of the second is the largest float below that pool's total, the
+        cap on a uniform scaled by it. Cached, like ``cumulative``.
         """
         if self._byte_pools is None:
             vocab = self.vocab_size
             if vocab > 8:
                 raise ValueError("byte pools need a vocabulary of at most 8 tokens")
-            byte = np.arange(1 << vocab, dtype=np.uint8)[:, None]
-            removed = np.unpackbits(byte, axis=1, count=vocab, bitorder="little")
-            self._byte_pools = np.cumsum(np.where(removed, 0.0, self.probs[None, :]), axis=1)
+            byte = np.arange(1 << vocab, dtype=np.uint8)[None, :]
+            removed = np.unpackbits(byte, axis=0, count=vocab, bitorder="little")
+            cum = np.cumsum(np.where(removed, 0.0, self.probs[:, None]), axis=0)
+            self._byte_pools = (cum, np.nextafter(cum[-1], 0.0))
         return self._byte_pools
 
     def support(self) -> np.ndarray:
@@ -103,8 +121,14 @@ def sample(dist: Categorical, rng: np.random.Generator) -> int:
 
 
 def sample_many(dist: Categorical, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` iid token ids distributed as ``dist.probs``."""
+    """Draw ``n`` iid token ids distributed as ``dist.probs``.
+
+    A point mass draws no uniform: its ``n`` tokens are its one supported
+    token, and ``rng`` is left untouched.
+    """
     cum = dist.cumulative()
+    if dist._point >= 0:
+        return np.full(n, dist._point, dtype=np.intp)
     # Scaling u by the realized total keeps draws inside [0, cum[-1]) so
     # zero-width (zero-probability) intervals can never be selected.
     idx = cum.searchsorted(rng.random(n) * cum[-1], side="right")

@@ -30,16 +30,18 @@ the next pool then grows the heap by a whole pool, so the peak memory of
 a caller that keeps its outputs rose in pool-sized steps. The spare
 buffer, at most one chunk's pool, stays allocated between calls.
 
-A draw from a depleted pool is a draw from the prior that skips removed
-tokens: rejection from the prior, hence exact; until a call removes its
-first token, it is a plain prior draw that checks no bits. A row that
+Until a call removes its first token, a draw is a plain prior draw that
+checks no bits. At V <= 8 a depleted pool is drawn by an exact inverse
+CDF: the first of the row's cumulative pool masses above its scaled
+uniform, read from a table of the 2^V possible pools, one uniform per
+row. At V > 8 a draw from a depleted pool is a draw from the prior that
+skips removed tokens: rejection from the prior, hence exact. A row that
 hits a removed token is redrawn in rounds; each round draws enough
 candidates for the row's removed mass that the row stays unserved with
 probability at most e^-2, so a heavily depleted pool costs a few
 vectorized rounds rather than many single redraws. Only a pool whose
-batch would reach a sixth of the vocabulary size is drawn by an exact
-O(V) inverse CDF: the first of the row's cumulative pool masses above
-its scaled uniform, read at V <= 8 from a table of every possible pool.
+batch would reach a sixth of the vocabulary size takes the exact
+inverse CDF, there an O(V) pass over the row's own bits.
 
 The eight samplers run three loops. ``rs``, ``wrs``, ``cwrs`` and
 ``gawrs`` run one with-replacement loop, ``_budgeted``, at (L, R) = (0,
@@ -218,9 +220,14 @@ class _Removed:
     def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One draw per row from the prior renormalized over its pool.
 
-        Draws from the unrestricted prior and redraws rows that hit a
-        removed token. That is rejection from the prior, so each row gets
-        exactly the renormalized pool, and it costs no constraint
+        Until a token is removed, a plain prior draw. At V <= 8 a depleted
+        pool takes the exact draw for every row, one uniform per row and
+        one gather from the byte-pool table: a prior draw there would hit
+        a removed token often enough to cost a second draw.
+
+        At V > 8, draws from the unrestricted prior and redraws rows that
+        hit a removed token. That is rejection from the prior, so each row
+        gets exactly the renormalized pool, and it costs no constraint
         evaluation. A prior draw hits a row's removed tokens with chance
         mass / total, so ``k = ceil(2 / log(total / mass))`` candidates (no
         more than ``ceil(2 / keep)``, with ``keep = (total - mass) / total``)
@@ -233,11 +240,13 @@ class _Removed:
         1e3 and 1e5: fewer candidates than e^-3 or e^-4, fewer rounds than
         e^-1.
         """
-        out = sample_many(self.prior, rows.shape[0], rng)
         if not self.depleted:
-            return out
-        pending = self._removed(rows, out).nonzero()[0]
+            return sample_many(self.prior, rows.shape[0], rng)
         vocab = self.probs.shape[0]
+        if vocab <= 8:
+            return self._draw_exact(rows, rng)
+        out = sample_many(self.prior, rows.shape[0], rng)
+        pending = self._removed(rows, out).nonzero()[0]
         while pending.size:
             # -log of the chance that one prior draw hits the row's removed tokens.
             depth = np.log(self.total / self.mass[rows[pending]])
@@ -293,32 +302,44 @@ class _Removed:
         removed = np.unpackbits(self.bits[rows], axis=1, count=vocab, bitorder="little")
         return np.where(removed, 0.0, self.probs[None, :])
 
-    def _cum_pools(self, rows: np.ndarray) -> np.ndarray:
-        """(rows x V) cumulative prior masses over each row's pool."""
-        if self.probs.shape[0] > 8:
-            return np.cumsum(self._pool(rows), axis=1)
-        # A pool of at most 8 tokens is fixed by its row's one byte, so the
-        # rows gather from the prior's cumulative pools of every byte value.
-        return self.prior.byte_pools()[self.bits[rows, 0]]
-
     def _draw_exact(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        vocab = self.probs.shape[0]
+        """One inverse-CDF draw per row over its pool, in blocks of rows."""
         u = rng.random(rows.shape[0])
+        step = max(1, _BLOCK_CELLS // self.probs.shape[0])
         out = np.empty(rows.shape[0], dtype=np.int64)
-        step = max(1, _BLOCK_CELLS // vocab)
         for lo in range(0, rows.shape[0], step):
             block = slice(lo, lo + step)
-            c = self._cum_pools(rows[block])
-            tot = c[:, -1]
-            if (tot <= 0.0).any():
-                raise NoValidToken("every positive-mass token was rejected (z = 0?)")
-            # A denormal pool can round u up to tot; keeping ub below tot
-            # leaves a crossing in every row, never past the last positive token.
-            ub = np.minimum(u[block] * tot, np.nextafter(tot, 0.0))
-            # Each row of c is nondecreasing, so its first crossing of ub is
-            # the count of entries <= ub.
-            out[block] = (c > ub[:, None]).argmax(axis=1)
+            out[block] = self._first_above(rows[block], u[block])
         return out
+
+    def _first_above(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Each row's first token whose cumulative pool mass exceeds ``u`` times the pool's total."""
+        small = self.probs.shape[0] <= 8
+        if small:
+            # A pool of at most 8 tokens is fixed by its row's one byte, so
+            # the rows gather their pools, a column each, from the prior's
+            # table of every byte value.
+            cum, below = self.prior.byte_pools()
+            pool = self.bits[rows, 0]
+            c = cum.take(pool, axis=1)
+            tot = c[-1]
+            cap = below.take(pool)
+        else:
+            c = np.cumsum(self._pool(rows), axis=1)
+            tot = c[:, -1]
+            cap = np.nextafter(tot, 0.0)
+        if (tot <= 0.0).any():
+            raise NoValidToken("every positive-mass token was rejected (z = 0?)")
+        # A denormal pool can round u up to tot; keeping ub below tot
+        # leaves a crossing in every row, never past the last positive token.
+        ub = np.minimum(u * tot, cap)
+        # A pool's cumulative masses are nondecreasing, so its first crossing
+        # of ub is the count of entries <= ub. At V <= 8 that count is a sum
+        # of V - 1 rows of n: for 1000 pools of three tokens, 2.7x faster
+        # than an argmax along each pool (2-core x86 host).
+        if small:
+            return (c[:-1] <= ub).sum(axis=0)
+        return (c > ub[:, None]).argmax(axis=1)
 
 
 def _chunked(kernel, prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator, *args):

@@ -32,6 +32,28 @@ class TestWithReplacementLaw:
             wrs_expected_calls(0.5, 0)
 
 
+class TestLoopCountRange:
+    """The laws take exactly the L that the kernels take."""
+
+    @pytest.mark.parametrize("L", [0, -1, 1.5, 2.5, "2"])
+    def test_refused_like_the_kernels(self, L):
+        prior = Categorical(np.array([0.5, 0.5]))
+        valid = np.array([False, True])
+        with pytest.raises(ValueError):
+            wrs_batch(prior, mask_constraint(valid), 10, make_rng(52), extra_loops=L)
+        with pytest.raises(ValueError):
+            wrs_expected_calls(0.5, L)
+        with pytest.raises(ValueError):
+            awrs_expected_calls(prior, valid, L)
+
+    def test_whole_float_accepted_like_the_kernels(self):
+        prior = Categorical(np.array([0.5, 0.5]))
+        valid = np.array([False, True])
+        wrs_batch(prior, mask_constraint(valid), 10, make_rng(53), extra_loops=2.0)
+        assert wrs_expected_calls(0.5, 2.0) == pytest.approx(6.0)
+        assert awrs_expected_calls(prior, valid, 2.0) == awrs_expected_calls(prior, valid, 2)
+
+
 class TestAdaptiveLaw:
     def test_single_distractor_value(self):
         # One invalid token of mass 0.5 against z = 0.5: q = 0.5 and the

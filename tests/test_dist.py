@@ -40,6 +40,24 @@ class TestSample:
         rng = make_rng(0)
         assert all(sample(dist, rng) == 0 for _ in range(50))
 
+    def test_point_mass_draws_no_uniform(self):
+        # One supported token is returned n times, and the generator stays
+        # where an unused twin stands.
+        dist = Categorical(np.array([0.0, 0.0, 1.0, 0.0]))
+        rng, twin = make_rng(8), make_rng(8)
+        np.testing.assert_array_equal(sample_many(dist, 50, rng), np.full(50, 2))
+        assert sample(dist, rng) == 2
+        assert sample_many(dist, 0, rng).shape == (0,)
+        np.testing.assert_array_equal(rng.random(8), twin.random(8))
+
+    def test_two_tokens_still_draw(self):
+        # A second token, however light, makes it a draw: n uniforms go.
+        dist = Categorical(np.array([1.0, 1e-300]))
+        rng, twin = make_rng(9), make_rng(9)
+        np.testing.assert_array_equal(sample_many(dist, 5, rng), np.zeros(5))
+        twin.random(5)
+        np.testing.assert_array_equal(rng.random(8), twin.random(8))
+
     def test_fair_coin_frequency(self):
         # CLT bound: 4 sigma of a fair coin at 1e6 draws is 0.002.
         dist = Categorical(np.array([0.5, 0.5]))

@@ -701,6 +701,41 @@ class TestDrawStreams:
         u = g.random(400)
         np.testing.assert_array_equal(rem._draw_exact(rows, en.FixedUniforms(u)), count_draw(rem, rows, u))
 
+    @pytest.mark.parametrize("vocab", [3, 8])
+    def test_depleted_small_vocab_draws_exactly_first(self, vocab, monkeypatch):
+        # At V <= 8 a depleted pool's draw is the exact draw, one uniform per
+        # row, with no prior draw before it.
+        def refuse(dist, n, rng):
+            raise AssertionError("prior draw from a depleted pool at V <= 8")
+
+        g = make_rng(75, vocab)
+        rem = samplers._Removed(400, normalize(g.random(vocab)))
+        removed_at_random(rem, g)
+        monkeypatch.setattr(samplers, "sample_many", refuse)
+        rows = np.arange(400)
+        u = g.random(400)
+        tokens = rem.draw(rows, en.FixedUniforms(u))
+        np.testing.assert_array_equal(tokens, count_draw(rem, rows, u))
+        assert not np.any(rem._removed(rows, tokens))
+
+    def test_depleted_pool_past_8_draws_from_prior_first(self, monkeypatch):
+        # At V = 9 a depleted pool still draws every row from the prior first.
+        g = make_rng(76)
+        rem = samplers._Removed(400, normalize(g.random(9)))
+        removed_at_random(rem, g)
+        drawn = []
+        draw_prior = samplers.sample_many
+
+        def counted(dist, n, rng):
+            drawn.append(n)
+            return draw_prior(dist, n, rng)
+
+        monkeypatch.setattr(samplers, "sample_many", counted)
+        rows = np.arange(400)
+        tokens = rem.draw(rows, make_rng(77))
+        assert drawn[0] == 400
+        assert not np.any(rem._removed(rows, tokens))
+
     @pytest.mark.parametrize(
         "weights",
         [[0, 1, 0, 2, 1, 0], [0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 0]],
@@ -746,10 +781,12 @@ class TestDepletedPool:
         "instance",
         [
             (Categorical(np.array([0.01, 0.99, 0.0])), np.array([True, False, False])),
+            peaked_instance(8),
+            peaked_instance(9),
             peaked_instance(1000),
             peaked_instance(10**5),
         ],
-        ids=["a1-step-a", "peaked-v1e3", "peaked-v1e5"],
+        ids=["a1-step-a", "peaked-v8", "peaked-v9", "peaked-v1e3", "peaked-v1e5"],
     )
     def test_exact_tokens_and_unbiased_zhat(self, instance):
         prior, valid = instance
