@@ -76,15 +76,13 @@ def _load_language(lm: ToyLM, language, language_file, pattern):
             return TrieLanguage(strings, alphabet=lm.alphabet)
         if language_file is not None:
             return TrieLanguage.from_file(language_file, alphabet=lm.alphabet)
-        if pattern is None:
-            return None
-        dfa = DfaPattern.from_json(pattern)
+        if pattern is not None:
+            # The library refuses an automaton over another alphabet than the model's.
+            return DfaPattern.from_json(pattern)
     except (ValueError, TypeError, OSError) as e:
         # ValueError: bad symbol, state or JSON; TypeError: a JSON field of the wrong type.
         raise click.UsageError(f"malformed constraint: {e}")
-    if dfa.alphabet != lm.alphabet:
-        raise click.UsageError("pattern alphabet does not match the model alphabet")
-    return dfa
+    return None
 
 
 def _emit(payload: dict, out: str | None):

@@ -194,6 +194,12 @@ class DfaPattern:
         return mask_constraint(self.valid_next(prefix), self.counter)
 
 
+def _check_alphabet(family, alphabet) -> None:
+    """Raise ValueError if ``family`` is a DfaPattern not over ``alphabet``, in order: token i is symbol i of both."""
+    if isinstance(family, DfaPattern) and family.alphabet != tuple(alphabet):
+        raise ValueError(f"the automaton's alphabet {family.alphabet} is not the model's {tuple(alphabet)}")
+
+
 class TrieLanguage(DfaPattern):
     """A finite set of symbol strings, compiled with trie nodes as states.
 

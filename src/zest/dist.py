@@ -29,13 +29,15 @@ SUM_TOL = 1e-9
 class Categorical:
     """A normalized distribution over token ids ``0 .. vocab_size - 1``.
 
-    Tables derived from ``probs`` are built once per object and kept on it,
-    so a distribution that a model hands out again and again (a ToyLM
-    shares one per context) pays for them once: ``total``, the pairwise sum
-    of ``probs`` taken when the object is made; the cumulative sums of
-    ``cumulative``, and with them the one supported token of a point mass;
-    and at V <= 8 the cumulative pool table of ``byte_pools``. Treat
-    ``probs`` as immutable: the tables are not rebuilt.
+    The one check of a next-token distribution: ``probs`` must be
+    non-negative and sum to 1 within ``SUM_TOL``, so NaN and infinite
+    entries are refused. The tables the samplers read are built with the
+    object, so a distribution that a model hands out again and again (a
+    ToyLM holds one per context) pays for them once: ``total`` (a pairwise
+    sum of ``probs``), the cumulative sums that ``sample_many`` searches,
+    and the one supported token of a point mass. Only the V <= 8 table of
+    ``byte_pools`` is built on first use. Treat ``probs`` as immutable: the
+    tables are not rebuilt.
 
     A point mass (one token of positive probability) is sampled without a
     uniform: ``sample_many`` returns its token and leaves the generator
@@ -43,39 +45,29 @@ class Categorical:
     """
 
     probs: np.ndarray
-    _cum: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # The supported token of a point mass, else -1; set by ``cumulative``.
-    _point: int = field(default=-1, repr=False, compare=False)
-    _byte_pools: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     total: float = field(init=False, repr=False, compare=False)
+    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    # The supported token of a point mass, else -1.
+    _point: int = field(init=False, repr=False, compare=False)
+    _byte_pools: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1:
+        probs = self.probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.ndim != 1:
             raise ValueError("probs must be a 1-d vector")
-        if np.any(self.probs < 0):
-            raise ValueError("probs must be non-negative")
+        # Both tests fail on NaN, as every comparison with NaN is False.
+        if not np.all(probs >= 0):
+            raise ValueError("probs must be non-negative and not NaN")
         # A pairwise sum: at V = 1e5 the sequential cumulative total is off by up to 2.3e-12.
-        self.total = float(self.probs.sum())
-        if abs(self.total - 1.0) > SUM_TOL:
-            raise ValueError("probs must sum to 1 (use normalize() on raw weights)")
+        self.total = float(probs.sum())
+        if not abs(self.total - 1.0) <= SUM_TOL:
+            raise ValueError("probs must be finite and sum to 1 (use normalize() on raw weights)")
+        self._cum = np.cumsum(probs)
+        self._point = int(probs.argmax()) if np.count_nonzero(probs) == 1 else -1
 
     @property
     def vocab_size(self) -> int:
         return self.probs.shape[0]
-
-    def cumulative(self) -> np.ndarray:
-        """Cached cumulative sums, shared by the inverse-CDF samplers.
-
-        The first call also looks for a point mass, so a distribution that
-        is never sampled (``token_mask`` makes one per step) never pays for
-        the check.
-        """
-        if self._cum is None:
-            self._cum = np.cumsum(self.probs)
-            if np.count_nonzero(self.probs) == 1:
-                self._point = int(self.probs.argmax())
-        return self._cum
 
     def byte_pools(self) -> tuple[np.ndarray, np.ndarray]:
         """At V <= 8, the cumulative masses of every pool one byte can mark.
@@ -84,7 +76,7 @@ class Categorical:
         ``probs`` with token i zeroed where bit i of b is set (little-endian
         bit order), so a gather of n pools is V contiguous rows of n. Entry
         b of the second is the largest float below that pool's total, the
-        cap on a uniform scaled by it. Cached, like ``cumulative``.
+        cap on a uniform scaled by it. Built on the first call and kept.
         """
         if self._byte_pools is None:
             vocab = self.vocab_size
@@ -102,13 +94,13 @@ class Categorical:
 
 
 def normalize(weights) -> Categorical:
-    """Scale non-negative weights into a Categorical.
+    """Scale finite non-negative weights into a Categorical.
 
     Raises AllZeroMass when every weight is zero.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise ValueError("weights must be finite and non-negative")
     total = float(w.sum())
     if total <= 0.0:
         raise AllZeroMass("cannot normalize an all-zero weight vector")
@@ -126,9 +118,9 @@ def sample_many(dist: Categorical, n: int, rng: np.random.Generator) -> np.ndarr
     A point mass draws no uniform: its ``n`` tokens are its one supported
     token, and ``rng`` is left untouched.
     """
-    cum = dist.cumulative()
     if dist._point >= 0:
         return np.full(n, dist._point, dtype=np.intp)
+    cum = dist._cum
     # Scaling u by the realized total keeps draws inside [0, cum[-1]) so
     # zero-width (zero-probability) intervals can never be selected.
     idx = cum.searchsorted(rng.random(n) * cum[-1], side="right")

@@ -3,6 +3,7 @@
 These enumerate rather than sample. The string oracles walk every prefix
 that a constraint automaton keeps live; a ToyLM's forced end-of-string at
 ``max_len`` ends the walk, whose cost grows with the accepted strings.
+Both refuse an automaton whose alphabet is not the model's (ValueError).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import DfaPattern, TokenConstraint
+from .constraints import DfaPattern, TokenConstraint, _check_alphabet
 from .dist import Categorical
 from .errors import DeadPrefix, EmptyPosterior, NoValidToken
 from .toylm import ToyLM
@@ -66,6 +67,7 @@ def global_posterior(lm: ToyLM, family: DfaPattern) -> GlobalPosterior:
     with g, the total prior probability of acceptance. Raises
     EmptyPosterior when g = 0.
     """
+    _check_alphabet(family, lm.alphabet)
     masses = {}
     # Depth-first over live prefixes, multiplying in lm.string_prob's order.
     stack = [("", 1.0)]
@@ -103,6 +105,7 @@ def lcd_distribution(lm: ToyLM, family: DfaPattern) -> LcdDistribution:
     Raises DeadPrefix where ``lcd_sample`` would: at a reachable prefix,
     the root included, with no valid token of positive probability.
     """
+    _check_alphabet(family, lm.alphabet)
     out_p: dict[str, float] = {}
     out_w: dict[str, float] = {}
     # Depth-first walk over valid prefixes, carrying the product of local

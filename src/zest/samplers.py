@@ -453,6 +453,25 @@ def _budgeted(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gen
     return tokens, trials, s, r
 
 
+def _weighted_budgeted(prior, c, n, rng, L: int, R: float, pooled: bool = False) -> BatchWeighted:
+    """``_budgeted`` at (L, R), over chunked pools if ``pooled`` (gawrs), with each run's estimate.
+
+    Stopped on the (L+1)-th acceptance, as every run is at R = inf (wrs):
+    zhat = L / (r + L). Stopped on the R-th rejection:
+    zhat = s / (R + s - 1), which is 0 when nothing was accepted (the R=1,
+    s=0 corner is 0/0 -> 0). Both are the Rao-Blackwellization of
+    1[first draw valid] given the stopped counts (s, r); see the tests for
+    the exact enumeration.
+    """
+    if pooled:
+        tokens, trials, s, r = _chunked(lambda rem, *run: _budgeted(prior, *run, L, R, rem), prior, c, n, rng)
+    else:
+        tokens, trials, s, r = _budgeted(prior, c, n, rng, L, R)
+    assert np.all(r <= R) and np.all(s <= L + 1)
+    zhats = np.where(s == L + 1, L / (r + L), np.where(s > 0, s / np.maximum(R + s - 1.0, 1.0), 0.0))
+    return BatchWeighted(tokens=tokens, zhats=zhats, trials=trials)
+
+
 def rs_batch(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator) -> BatchTokens:
     """Draw from the prior until the constraint accepts, per run.
 
@@ -477,16 +496,14 @@ def wrs_batch(
 ) -> BatchWeighted:
     """Run L + 1 rejection loops and estimate z from the rejection count.
 
-    The budgeted loop at (L, inf). The accepted token of the first loop is
-    returned. With ``nrej`` total rejections across the loops,
-    ``zhat = L / (nrej + L)``, the minimum-variance unbiased estimator of z
-    for the induced negative-binomial trial count. At z = 0 it raises
-    NoValidToken after V rounds.
+    The budgeted loop at (L, inf): ``cwrs_batch`` with no budget. The
+    accepted token of the first loop is returned. With ``nrej`` total
+    rejections, ``zhat = L / (nrej + L)``, the minimum-variance unbiased
+    estimator of z for the induced negative-binomial trial count. At z = 0
+    it raises NoValidToken after V rounds.
     """
     check_knobs(extra_loops=extra_loops)
-    L = int(extra_loops)
-    tokens, trials, _, nrej = _budgeted(prior, c, n, rng, L, math.inf)
-    return BatchWeighted(tokens=tokens, zhats=L / (nrej + L), trials=trials)
+    return _weighted_budgeted(prior, c, n, rng, int(extra_loops), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -633,17 +650,6 @@ def cawrs_batch(
 # Clipped weighted rejection sampling (call-budget early stop)
 
 
-def _cwrs_estimate(s, r, L, R):
-    # Stopped on the (L+1)-th acceptance: zhat = L / (r + L).
-    # Stopped on the R-th rejection: zhat = s / (R + s - 1), which is 0
-    # when nothing was accepted (the R=1, s=0 corner is 0/0 -> 0).
-    # Both are the Rao-Blackwellization of 1[first draw valid] given the
-    # stopped counts (s, r); see the tests for the exact enumeration.
-    acc_stop = s == L + 1
-    rej_denom = np.maximum(R + s - 1.0, 1.0)
-    return np.where(acc_stop, L / (r + L), np.where(s > 0, s / rej_denom, 0.0))
-
-
 def cwrs_batch(
     prior: Categorical,
     c: TokenConstraint,
@@ -661,10 +667,7 @@ def cwrs_batch(
     unbiased for z under the stopped counts.
     """
     check_knobs(extra_loops=extra_loops, budget=budget)
-    L, R = int(extra_loops), int(budget)
-    tokens, trials, s, r = _budgeted(prior, c, n, rng, L, R)
-    assert np.all(r <= R) and np.all(s <= L + 1)
-    return BatchWeighted(tokens=tokens, zhats=_cwrs_estimate(s, r, L, R), trials=trials)
+    return _weighted_budgeted(prior, c, n, rng, int(extra_loops), int(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +692,7 @@ def gawrs_batch(
     fewer calls when much mass is already removed.
     """
     check_knobs(extra_loops=extra_loops, budget=budget)
-    L, R = int(extra_loops), int(budget)
-
-    def kernel(rem, c, m, rng):
-        return _budgeted(prior, c, m, rng, L, R, rem)
-
-    tokens, trials, s, r = _chunked(kernel, prior, c, n, rng)
-    assert np.all(r <= R) and np.all(s <= L + 1)
-    return BatchWeighted(tokens=tokens, zhats=_cwrs_estimate(s, r, L, R), trials=trials)
+    return _weighted_budgeted(prior, c, n, rng, int(extra_loops), int(budget), pooled=True)
 
 
 # ---------------------------------------------------------------------------

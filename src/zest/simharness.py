@@ -122,10 +122,11 @@ def _check(minimum: int, **values):
 
 
 # Stream addressing shared by the sweeps: instance construction draws
-# from (seed, 2, idx); a sampler run draws from (seed, 3, idx, kind, L)
-# with the sampler's stream kind from this table. Sweeps that run the
-# same sampler at the same run count therefore reuse identical draws,
-# which the tests pin down.
+# from (seed, 2, idx); a bias or variance run draws from (seed, 3, idx,
+# kind, L), and a heatmap cell from (seed, 6, idx, kind), with the
+# sampler's stream kind from this table. Sweeps that run the same sampler
+# at the same run count therefore reuse identical draws, which the tests
+# pin down.
 _SAMPLERS = {"wrs": (wrs_batch, 0), "awrs": (awrs_batch, 1)}
 
 

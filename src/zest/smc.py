@@ -13,7 +13,8 @@ weight 1, and ``sample_verify`` proposes raw model tokens with weight 1
 and applies its whole-string check once the rollouts finish. Every
 method runs each rollout until the model ends it: a ToyLM forces
 end-of-string at ``max_len``, so a run takes at most ``max_len + 1``
-steps and no rollout is cut short.
+steps and no rollout is cut short. Every method refuses an automaton
+whose alphabet is not the model's, in the model's order (ValueError).
 
 The population is three arrays: an int node id per particle, its
 weight and an active flag. A node indexes a per-run table of prefix
@@ -25,11 +26,13 @@ next-token law and local constraint depend on the prefix alone, so each
 group costs one model call, one constraint derivation and one batch
 proposal call for all of its particles, and the particle work between
 those calls is array operations. A group whose rollouts all ended makes
-no child nodes. Resampling copies node ids. A run draws from one
-counter-based stream, (seed, 0): at each step the groups draw from it in
-sorted-prefix order, each its rows in ascending order, and then the
-resampler draws, so results depend on the seed only, never on hash,
-iteration or node order. Making a stream costs about 20 us (2-core x86
+no child nodes, and the others number their children in token order, so
+node order is token-path order: on an alphabet listed in code-point
+order, that is sorted-prefix order. Resampling copies node ids. A run
+draws from one counter-based stream, (seed, 0): at each step the groups
+draw from it in node order, each its rows in ascending order, and then
+the resampler draws, so results depend on the seed only, never on hash
+or iteration order. Making a stream costs about 20 us (2-core x86
 host), as much as a small group's draws, so a run makes one. Multinomial
 resampling is ``Generator.choice``'s draw with its uniforms searched in
 sorted order.
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import DfaPattern, TokenConstraint
+from .constraints import DfaPattern, TokenConstraint, _check_alphabet
 from .dist import Categorical, sample, sample_many
 from .errors import AllDead, DeadPrefix, NoValidToken
 from .oracle import token_mask
@@ -286,6 +289,7 @@ def _run_smc(
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
+    _check_alphabet(family, lm.alphabet)
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
     resampler = _RESAMPLERS.get(resample)
@@ -316,9 +320,8 @@ def _run_smc(
         by_node, keys = live[order], keys[order]
         cuts = ((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist()
         starts, ends = [0, *cuts], [*cuts, by_node.shape[0]]
-        # Each group is a slice of by_node; groups draw in sorted-prefix order.
-        groups = sorted(zip(keys[starts].tolist(), starts, ends), key=lambda g: strings[g[0]])
-        for k, lo, hi in groups:
+        # Each group is a slice of by_node; groups draw in node order, which is token-path order.
+        for k, lo, hi in zip(keys[starts].tolist(), starts, ends):
             rows = by_node[lo:hi]
             prefix = strings[k]
             prior = lm.next_dist(prefix)
@@ -431,6 +434,7 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
     """
     if n < 1:
         raise ValueError("need at least one rollout")
+    _check_alphabet(family, lm.alphabet)
     eval_before = family.counter.count
     index: dict[str, int] = {}
     node, weights = [], []
@@ -466,6 +470,7 @@ def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:
     ``eval_counts``; a callable's counts nothing. Raises AllDead if every
     rollout fails.
     """
+    _check_alphabet(verifier, lm.alphabet)
     anything = DfaPattern(["q"], lm.alphabet, {"q": {ch: "q" for ch in lm.alphabet}}, ["q"])
     if callable(verifier):
         check = verifier

@@ -8,7 +8,9 @@ engines be tested against exact answers.
 
 Token ids: symbol ``i`` of the alphabet is token ``i``; end-of-string is
 token ``alphabet_size``. Conditional tables are keyed by the last
-``min(k, len(prefix))`` symbols of the prefix.
+``min(k, len(prefix))`` symbols of the prefix. Each row becomes one
+``Categorical`` when the model is made, which refuses a row that is not a
+distribution, so ``next_dist`` is a lookup.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .rng import make_rng
 
 __all__ = ["ToyLM", "random_lm", "example_a1", "builtin_model", "BUILTIN_MODELS"]
 
-SUM_TOL = 1e-9
-
 
 @dataclass
 class ToyLM:
@@ -36,21 +36,26 @@ class ToyLM:
     order: int
     max_len: int
     tables: dict[str, np.ndarray]
-    _eos_forced: Categorical | None = field(default=None, repr=False, compare=False)
-    _dist_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # One distribution per table row, and the forced end-of-string point mass.
+    _dists: dict[str, Categorical] = field(init=False, repr=False, compare=False)
+    _eos_forced: Categorical = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.alphabet = tuple(self.alphabet)
         if self.order < 0 or self.max_len < 0:
             raise ValueError(f"order and max_len must be >= 0, not {self.order} and {self.max_len}")
         width = len(self.alphabet) + 1
+        self._dists = {}
         for ctx, row in list(self.tables.items()):
             row = np.asarray(row, dtype=np.float64)
             if row.shape != (width,):
                 raise ValueError(f"table row for context {ctx!r} has wrong width")
-            if np.any(row < 0) or abs(float(row.sum()) - 1.0) > SUM_TOL:
-                raise ValueError(f"table row for context {ctx!r} is not a distribution")
+            try:
+                self._dists[ctx] = Categorical(row)
+            except ValueError as e:
+                raise ValueError(f"table row for context {ctx!r} is not a distribution: {e}") from None
             self.tables[ctx] = row
+        self._eos_forced = Categorical(np.arange(width) == self.eos)
 
     @property
     def eos(self) -> int:
@@ -68,25 +73,18 @@ class ToyLM:
 
         At ``len(prefix) == max_len`` the distribution is a forced point
         mass on end-of-string, which is what keeps the support finite.
-        Returned objects are cached per context and shared; treat them as
+        Returned objects are built with the model and shared; treat them as
         immutable. A context with no table row raises ValueError.
         """
         if len(prefix) > self.max_len:
             raise PrefixTooLong(f"prefix of length {len(prefix)} exceeds max_len {self.max_len}")
         if len(prefix) == self.max_len:
-            if self._eos_forced is None:
-                probs = np.zeros(self.vocab_size)
-                probs[self.eos] = 1.0
-                self._eos_forced = Categorical(probs)
             return self._eos_forced
         ctx = self.context_key(prefix)
-        dist = self._dist_cache.get(ctx)
-        if dist is None:
-            row = self.tables.get(ctx)
-            if row is None:
-                raise ValueError(f"the model has no table row for the context {ctx!r}")
-            dist = self._dist_cache[ctx] = Categorical(row)
-        return dist
+        try:
+            return self._dists[ctx]
+        except KeyError:
+            raise ValueError(f"the model has no table row for the context {ctx!r}") from None
 
     def string_prob(self, s: str) -> float:
         """Probability of the complete string ``s`` (symbol steps then eos)."""
@@ -145,9 +143,7 @@ def random_lm(seed: int, alphabet_size: int, k: int, max_len: int) -> ToyLM:
         raise ValueError("alphabet_size limited to 26 single-letter symbols")
     alphabet = tuple(chr(ord("a") + i) for i in range(alphabet_size))
     rng = make_rng(seed, 0)
-    tables = {}
-    for ctx in _all_contexts(alphabet, k):
-        tables[ctx] = rng.dirichlet(np.ones(alphabet_size + 1))
+    tables = {ctx: rng.dirichlet(np.ones(alphabet_size + 1)) for ctx in _all_contexts(alphabet, k)}
     return ToyLM(alphabet=alphabet, order=k, max_len=max_len, tables=tables)
 
 

@@ -391,11 +391,16 @@ class TestExitCodes:
             (json.dumps({"alphabet": ["a"], "k": 0, "max_len": 2, "tables": {"": [0.5, 0.25, 0.25]}}),
              "malformed model"),
             (json.dumps({"alphabet": ["a"], "k": 0, "max_len": -1, "tables": {"": [0.5, 0.5]}}), "malformed model"),
+            # NaN passed the old row check: such a run printed "g_hat": NaN and exited 0.
+            (json.dumps({"alphabet": ["a", "b"], "k": 0, "max_len": 2, "tables": {"": [math.nan, 0.5, 0.5]}}),
+             "malformed model: table row for context ''"),
+            (json.dumps({"alphabet": ["a", "b"], "k": 0, "max_len": 2, "tables": {"": [math.inf, 0.0, 0.0]}}),
+             "malformed model: table row for context ''"),
             # A context the run reaches has no row: found at the first draw from it.
             (json.dumps({"alphabet": ["a", "b"], "k": 1, "max_len": 3, "tables": {"": [0.5, 0.4, 0.1]}}),
              "no table row for the context 'a'"),
         ],
-        ids=["missing-key", "bad-json", "wrong-width-row", "negative-max-len", "missing-context"],
+        ids=["missing-key", "bad-json", "wrong-width-row", "negative-max-len", "nan-row", "inf-row", "missing-context"],
     )
     def test_malformed_model_is_two(self, runner, tmp_path, text, message):
         model = tmp_path / "model.json"
@@ -403,6 +408,15 @@ class TestExitCodes:
         result = runner.invoke(main, ["generate", "--model", str(model), "--language", "{a}", "--method", "is"])
         assert result.exit_code == 2, result.output
         assert message in result.output
+
+    @pytest.mark.parametrize("method", [m for m, options in METHOD_OPTIONS.items() if "pattern" in options])
+    @pytest.mark.parametrize("alphabet", [["b", "a"], ["a"]], ids=["permuted", "short"])
+    def test_pattern_over_another_alphabet_is_two(self, runner, method, alphabet):
+        pattern = json.dumps({"states": ["q"], "alphabet": alphabet, "transitions": {"q": {"a": "q"}},
+                              "accepting": ["q"]})
+        result = runner.invoke(main, ["generate", "--method", method, "--pattern", pattern, "--n", "10"])
+        assert result.exit_code == 2, result.output
+        assert "is not the model's" in result.output
 
     @pytest.mark.parametrize(
         "method, error",

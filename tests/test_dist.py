@@ -9,6 +9,55 @@ from scipy import stats
 from zest.dist import Categorical, normalize, sample, sample_many
 from zest.errors import AllZeroMass
 from zest.rng import make_rng
+from zest.toylm import ToyLM
+
+
+@st.composite
+def rows(draw):
+    """Non-negative rows scaled to sum near 1, some with a NaN, an infinity or a negative entry put in."""
+    width = draw(st.integers(1, 8))
+    w = np.array(draw(st.lists(st.floats(0, 1), min_size=width, max_size=width)))
+    row = w / w.sum() if w.sum() > 0 else w
+    row = row * draw(st.sampled_from([1.0, 1 + 5e-10, 1 - 5e-10, 1 + 2e-9, 1 - 2e-9, 0.5]))
+    for _ in range(draw(st.integers(0, 2))):
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1e-3, -0.0]))
+    return row
+
+
+class TestTheOneCheck:
+    """``Categorical`` is the one check of a next-token distribution."""
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [np.inf, 0.0, 0.0], [-np.inf, 1.0, 1.0], [np.nan] * 3],
+        ids=["nan-first", "nan-last", "inf", "minus-inf", "all-nan"],
+    )
+    def test_nan_and_inf_are_refused(self, probs):
+        # NaN passed both range tests of an `any(p < 0)` and `abs(sum - 1) > tol` check.
+        with pytest.raises(ValueError):
+            Categorical(np.array(probs))
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]], ids=["nan", "inf", "minus-inf"])
+    def test_normalize_refuses_nan_and_inf(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            normalize(weights)
+
+    @settings(max_examples=300)
+    @given(rows())
+    def test_accepts_exactly_finite_non_negative_rows_summing_to_one(self, row):
+        want = bool(np.all(np.isfinite(row)) and np.all(row >= 0) and abs(row.sum() - 1.0) <= 1e-9)
+
+        def accepts(make):
+            try:
+                make()
+            except ValueError:
+                return False
+            return True
+
+        assert accepts(lambda: Categorical(row)) == want
+        # A one-context model accepts the row exactly when Categorical does.
+        alphabet = tuple("abcdefg"[: row.shape[0] - 1])
+        assert accepts(lambda: ToyLM(alphabet, 0, 2, {"": row})) == want
 
 
 class TestNormalize:

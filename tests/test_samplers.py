@@ -631,7 +631,6 @@ class TestPackedPool:
         # 1000 runs at V = 1e5 hold a 12.5 MB packed pool in one chunk.
         prior, valid = placed_mass_instance(10**5, 0.9, 100)
         c = c_of(valid)
-        prior.cumulative()
         monkeypatch.setattr(samplers, "_spare", [])
         tracemalloc.start()
         try:

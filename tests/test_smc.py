@@ -1,5 +1,7 @@
 """Sequential Monte Carlo engines, resampling, and the bias-correction layer."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -379,6 +381,102 @@ class TestGroupedEngine:
         assert all(p.weight > 0.0 for p in ens.particles if p.prefix == "ba")
         assert list(ens.posterior_estimate) == ["ba"]
         assert ens.posterior_estimate["ba"] == pytest.approx(1.0)
+
+
+class RecordingTrie(TrieLanguage):
+    """A trie that records, in call order, the prefix of each constraint it derives: one per group."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = []
+
+    def constraint_at(self, prefix):
+        self.asked.append(prefix)
+        return super().constraint_at(prefix)
+
+
+def swapped(s: str) -> str:
+    return s.translate(str.maketrans("ab", "ba"))
+
+
+class TestGroupOrder:
+    """Each step's groups draw in token-path order: by their prefixes' token ids."""
+
+    @pytest.mark.parametrize("alphabet", [("a", "b"), ("b", "a")])
+    def test_groups_draw_in_token_path_order(self, alphabet):
+        lm = ToyLM(alphabet, 0, 3, {"": np.array([0.35, 0.35, 0.3])})
+        lang = RecordingTrie(["".join(s) for t in range(4) for s in itertools.product("ab", repeat=t)],
+                             alphabet=alphabet)
+        smc_pwp(lm, lang, "awrs", 400, tau=0.5, seed=1)
+        for t in range(4):
+            step = [p for p in lang.asked if len(p) == t]
+            assert step == sorted(step, key=lambda p: [alphabet.index(ch) for ch in p]) and len(step) == 2**t
+            if alphabet == ("a", "b"):
+                # Listed in code-point order, token-path order is sorted-prefix order.
+                assert step == sorted(step)
+        if alphabet == ("b", "a"):
+            assert lang.asked[1:3] == ["b", "a"]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda lm, lang: smc_pwp(lm, lang, "awrs", 300, seed=6),
+            lambda lm, lang: smc_pwp(lm, lang, "cwrs", 300, seed=6, resample="stratified"),
+            lambda lm, lang: smc_twist(lm, lang, 300, seed=6),
+            lambda lm, lang: lcd_sample(lm, lang, 300, seed=6),
+        ],
+        ids=["awrs", "cwrs-stratified", "twist", "lcd"],
+    )
+    def test_a_relabelled_alphabet_runs_the_same_draws(self, run):
+        # Listing the alphabet as (b, a) with the same rows by token id is the
+        # same model with a and b renamed, so the run is the same run with a
+        # and b renamed. A draw order by prefix string would differ.
+        lm = random_lm(3, 2, 1, 3)
+        strings = ["a", "ab", "ba", "bb", "aab", "abb", "bab", "bba", "bbb"]
+        relabelled = ToyLM(("b", "a"), 1, 3, {swapped(ctx): row for ctx, row in lm.tables.items()})
+        a = run(lm, TrieLanguage(strings, alphabet=lm.alphabet))
+        b = run(relabelled, TrieLanguage([swapped(s) for s in strings], alphabet=("b", "a")))
+        assert b.prefixes == [swapped(s) for s in a.prefixes]
+        np.testing.assert_array_equal(b.weights, a.weights)
+        assert b.eval_counts == a.eval_counts
+
+
+PERMUTED_LM = two_symbol_lm(3, [0.5, 0.3, 0.2])
+# a* over the alphabet listed as (b, a): its mask's column 0 is b, the model's token 0 is a.
+A_STAR = {"states": ["q"], "transitions": {"q": {"a": "q"}}, "accepting": ["q"]}
+
+
+class TestAlphabetCheck:
+    """Every entry point refuses an automaton over another alphabet than the model's."""
+
+    RUNS = {
+        "smc_pwp": lambda lm, fam: smc_pwp(lm, fam, "awrs", 20),
+        "smc_twist": lambda lm, fam: smc_twist(lm, fam, 20),
+        "lcd_sample": lambda lm, fam: lcd_sample(lm, fam, 20),
+        "sample_verify": lambda lm, fam: sample_verify(lm, fam, 20),
+        "importance_sample": lambda lm, fam: importance_sample(lm, fam, 20),
+        "global_posterior": global_posterior,
+        "lcd_distribution": lcd_distribution,
+    }
+
+    @pytest.mark.parametrize("entry", list(RUNS))
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda: (PERMUTED_LM, DfaPattern(**A_STAR, alphabet=("b", "a"))),
+            lambda: (example_a1(), TrieLanguage(["aa"])),
+        ],
+        ids=["permuted", "short"],
+    )
+    def test_refused(self, entry, pair):
+        lm, family = pair()
+        with pytest.raises(ValueError, match=r"alphabet \(.*\) is not the model's \('a', 'b'\)"):
+            self.RUNS[entry](lm, family)
+
+    def test_the_same_automaton_over_the_model_alphabet(self):
+        # The refused permuted pair gave {"": 1.0}; over (a, b) the exact answer.
+        post = global_posterior(PERMUTED_LM, DfaPattern(**A_STAR, alphabet=("a", "b")))
+        assert post.dist == pytest.approx({"": 0.2 / 0.475, "a": 0.1 / 0.475, "aa": 0.05 / 0.475, "aaa": 0.125 / 0.475})
 
 
 class TestStreams:

@@ -99,6 +99,13 @@ class TestJsonFormat:
         for ctx, row in lm.tables.items():
             np.testing.assert_allclose(back.tables[ctx], row)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_rejects_a_nan_or_inf_row_naming_its_context(self, bad):
+        tables = f'{{"": [0.5, 0.5, 0.0], "b": [{bad}, 0.5, 0.5]}}'
+        text = f'{{"alphabet": ["a", "b"], "k": 1, "max_len": 2, "tables": {tables}}}'
+        with pytest.raises(ValueError, match="table row for context 'b'"):
+            ToyLM.from_json(text)
+
     def test_rejects_malformed_rows(self):
         with pytest.raises(ValueError):
             ToyLM(alphabet=("a",), order=1, max_len=2, tables={"": np.array([0.5, 0.4])})
