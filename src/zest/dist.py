@@ -35,9 +35,10 @@ class Categorical:
     object, so a distribution that a model hands out again and again (a
     ToyLM holds one per context) pays for them once: ``total`` (a pairwise
     sum of ``probs``), the cumulative sums that ``sample_many`` searches,
-    and the one supported token of a point mass. Only the V <= 8 table of
-    ``byte_pools`` is built on first use. Treat ``probs`` as immutable: the
-    tables are not rebuilt.
+    and the one supported token of a point mass. Only the V <= 8 tables of
+    ``byte_pools``, which answer every question the samplers ask of a pool
+    of removed tokens, are built on first use. Treat ``probs`` as
+    immutable: the tables are not rebuilt.
 
     A point mass (one token of positive probability) is sampled without a
     uniform: ``sample_many`` returns its token and leaves the generator
@@ -49,7 +50,9 @@ class Categorical:
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
     # The supported token of a point mass, else -1.
     _point: int = field(init=False, repr=False, compare=False)
-    _byte_pools: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _byte_pools: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         probs = self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -69,14 +72,18 @@ class Categorical:
     def vocab_size(self) -> int:
         return self.probs.shape[0]
 
-    def byte_pools(self) -> tuple[np.ndarray, np.ndarray]:
-        """At V <= 8, the cumulative masses of every pool one byte can mark.
+    def byte_pools(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """At V <= 8, the tables of every pool one byte can mark, indexed by that byte.
 
-        Column b of the first array (V x 2^V) is the cumulative sum of
-        ``probs`` with token i zeroed where bit i of b is set (little-endian
-        bit order), so a gather of n pools is V contiguous rows of n. Entry
-        b of the second is the largest float below that pool's total, the
-        cap on a uniform scaled by it. Built on the first call and kept.
+        Bit i of byte b (little-endian bit order) marks token i as removed,
+        and pool b is ``probs`` with those tokens zeroed. Of the four arrays,
+        the first ((V - 1) x 2^V) holds in column b pool b's first V - 1
+        cumulative masses divided by its total, so a gather of n pools is
+        V - 1 contiguous rows of n; its last, omitted, would be exactly 1.
+        The others, one entry per byte, are each pool's mass summed over
+        its surviving tokens, the mass summed over its removed tokens, and
+        whether no surviving token has mass (the empty pool's column of the
+        first is never read). Built on the first call and kept.
         """
         if self._byte_pools is None:
             vocab = self.vocab_size
@@ -84,8 +91,11 @@ class Categorical:
                 raise ValueError("byte pools need a vocabulary of at most 8 tokens")
             byte = np.arange(1 << vocab, dtype=np.uint8)[None, :]
             removed = np.unpackbits(byte, axis=0, count=vocab, bitorder="little")
-            cum = np.cumsum(np.where(removed, 0.0, self.probs[:, None]), axis=0)
-            self._byte_pools = (cum, np.nextafter(cum[-1], 0.0))
+            probs = self.probs[:, None]
+            cum = np.cumsum(np.where(removed, 0.0, probs), axis=0)
+            left = cum[-1]
+            normed = np.divide(cum[:-1], left, out=np.ones_like(cum[:-1]), where=left > 0.0)
+            self._byte_pools = (normed, left, np.where(removed, probs, 0.0).sum(axis=0), left == 0.0)
         return self._byte_pools
 
     def support(self) -> np.ndarray:

@@ -16,31 +16,37 @@ NoValidToken: the adaptive ones when a run's pool runs out, ``rs`` and
 vocabulary size) finds no valid token. The clipped and budgeted ones
 return dead rows (``zhat = 0``) within their call caps.
 
-The without-replacement kernels keep each run's removed tokens as a
-packed bit row (V / 8 bytes) and its removed mass in a compensated (Kahan)
-accumulator, so long runs do not drift. A pool whose remaining mass is
-below 1e-6 of the prior's total is summed from its surviving tokens
-instead, so a small z never cancels to a zero estimate. Batches run in
-chunks of at most 32 MiB of packed pool, one after another on the same
-random stream. A pool of at least 1 MiB takes the bit buffer that the last
-such pool released, rezeroed, so a loop of large-vocabulary calls keeps
-one pool buffer rather than freeing and allocating one per call: a freed
-pool leaves a hole in the heap that the caller's kept outputs fill, and
-the next pool then grows the heap by a whole pool, so the peak memory of
-a caller that keeps its outputs rose in pool-sized steps. The spare
-buffer, at most one chunk's pool, stays allocated between calls.
+The without-replacement kernels keep each run's removed tokens in one of
+two pools, chosen by vocabulary size V. At V <= 8 a run's pool is one
+byte, a bit per token, and every pool question is a lookup by that byte
+in tables the prior builds once (``Categorical.byte_pools``): its draw,
+its mass summed over its surviving tokens, and its removed mass summed
+over its removed tokens, so no pool mass is found by subtraction.
+Past 8 it is a packed bit row (V / 8 bytes), with the removed mass in a
+compensated (Kahan) accumulator, so long runs do not drift; a pool whose
+remaining mass is below 1e-6 of the prior's total is summed from its
+surviving tokens instead, so a small z never cancels to a zero estimate.
+Batches run in chunks of at most 32 MiB of pool, one after another on
+the same random stream. A bit pool of at least 1 MiB takes the bit buffer
+that the last such pool released, rezeroed, so a loop of large-vocabulary
+calls keeps one pool buffer rather than freeing and allocating one per
+call: a freed pool leaves a hole in the heap that the caller's kept
+outputs fill, and the next pool then grows the heap by a whole pool, so
+the peak memory of a caller that keeps its outputs rose in pool-sized
+steps. The spare buffer, at most one chunk's pool, stays allocated
+between calls.
 
 Until a call removes its first token, a draw is a plain prior draw that
 checks no bits. At V <= 8 a depleted pool is drawn by an exact inverse
-CDF: the first of the row's cumulative pool masses above its scaled
-uniform, read from a table of the 2^V possible pools, one uniform per
-row. At V > 8 a draw from a depleted pool is a draw from the prior that
-skips removed tokens: rejection from the prior, hence exact. A row that
-hits a removed token is redrawn in rounds; each round draws enough
-candidates for the row's removed mass that the row stays unserved with
-probability at most e^-2, so a heavily depleted pool costs a few
-vectorized rounds rather than many single redraws. Only a pool whose
-batch would reach a sixth of the vocabulary size takes the exact
+CDF, one uniform per row: the count of the pool's cumulative masses over
+its total at or below the uniform, read from the prior's table of the
+2^V possible pools. At V > 8 a draw from a depleted pool is a draw from
+the prior that skips removed tokens: rejection from the prior, hence
+exact. A row that hits a removed token is redrawn in rounds; each round
+draws enough candidates for the row's removed mass that the row stays
+unserved with probability at most e^-2, so a heavily depleted pool costs
+a few vectorized rounds rather than many single redraws. Only a pool
+whose batch would reach a sixth of the vocabulary size takes the exact
 inverse CDF, there an O(V) pass over the row's own bits.
 
 The eight samplers run three loops. ``rs``, ``wrs``, ``cwrs`` and
@@ -72,6 +78,7 @@ from .dist import Categorical, sample_many
 from .errors import NoValidToken
 
 __all__ = [
+    "check_count",
     "check_knobs",
     "BatchTokens",
     "BatchWeighted",
@@ -87,6 +94,19 @@ __all__ = [
 ]
 
 
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int if it is a whole number >= ``least``, else ValueError naming ``name``.
+
+    The one check of a count: a kernel's runs (``n``, >= 0), a rollout
+    method's particles (>= 1) and a sampler's loops and budget (>= 1).
+    Whole floats pass; bools, which Python counts as integers, do not.
+    """
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not (whole and value >= least):
+        raise ValueError(f"{name} must be a whole number >= {least}, not {value!r}")
+    return int(value)
+
+
 def check_knobs(**knobs) -> None:
     """Raise ValueError if a given sampler knob is out of range.
 
@@ -99,9 +119,7 @@ def check_knobs(**knobs) -> None:
     """
     for key in ("extra_loops", "budget"):
         if key in knobs:
-            value = knobs[key]
-            if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= 1):
-                raise ValueError(f"{key} must be a whole number >= 1, not {value!r}")
+            check_count(key, knobs[key], 1)
     if "theta0" in knobs and not (0.0 < knobs["theta0"] < knobs["theta1"] < 1.0):
         raise ValueError("need 0 < theta0 < theta1 < 1")
 
@@ -161,8 +179,63 @@ def _take_spare(size: int) -> np.ndarray:
     return buf if buf.size >= size else np.empty(size, dtype=np.uint8)
 
 
+class _BytePool:
+    """Per-run removed-token sets over at most 8 tokens, one byte per run.
+
+    Bit i of a run's byte marks token i as removed, so each question the
+    kernels ask of a pool is a lookup by that byte in the prior's
+    ``byte_pools`` tables, built once per distribution: its draw table,
+    and its masses summed over the surviving and over the removed tokens.
+    """
+
+    def __init__(self, n_runs: int, prior: Categorical):
+        self.prior = prior
+        self.probs = prior.probs
+        self.byte = np.zeros(n_runs, dtype=np.uint8)
+        self._cum, self._left, self._gone, self._empty = prior.byte_pools()
+        # False until a token is removed: a draw from untouched pools is a
+        # plain prior draw.
+        self.depleted = False
+
+    def release(self):
+        """A byte pool holds no buffer worth handing on."""
+
+    def add(self, rows: np.ndarray, tokens: np.ndarray):
+        if rows.size == 0:
+            return
+        self.depleted = True
+        # Rows are distinct within every call, so no two updates of this
+        # fancy-indexed |= hit the same byte and none is lost.
+        self.byte[rows] |= _BIT[tokens]
+
+    def left(self, rows: np.ndarray) -> np.ndarray:
+        """Prior mass still in each row's pool, summed over its surviving tokens."""
+        return self._left.take(self.byte[rows])
+
+    def removed_mass(self, rows: np.ndarray) -> np.ndarray:
+        """Prior mass removed from each row's pool, summed over its removed tokens."""
+        return self._gone.take(self.byte[rows])
+
+    def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One draw per row from the prior renormalized over its pool.
+
+        Until a token is removed, a plain prior draw. After that, one
+        uniform u per row, and the token is the count of the row's pool's
+        cumulative masses over its total that are at or below u. Those
+        masses are nondecreasing, so the count stops on no zero-mass or
+        removed token; the last is x / x, exactly 1, so with u < 1 the
+        count never passes the last positive-mass token.
+        """
+        if not self.depleted:
+            return sample_many(self.prior, rows.shape[0], rng)
+        pool = self.byte[rows]
+        if self._empty.take(pool).any():
+            raise NoValidToken("every positive-mass token was rejected (z = 0?)")
+        return (self._cum.take(pool, axis=1) <= rng.random(rows.shape[0])).sum(axis=0)
+
+
 class _Removed:
-    """Per-run removed-token sets with compensated mass accumulation.
+    """Per-run removed-token sets over more than 8 tokens, with compensated mass accumulation.
 
     Each run's set is a packed bit row of ceil(V / 8) bytes, so a pool of
     n runs costs n * V / 8 bytes.
@@ -206,6 +279,10 @@ class _Removed:
         self._comp[rows] = (t - mass) - y
         self.mass[rows] = t
 
+    def removed_mass(self, rows: np.ndarray) -> np.ndarray:
+        """Prior mass removed from each row's pool."""
+        return self.mass[rows]
+
     def left(self, rows: np.ndarray) -> np.ndarray:
         """Prior mass still in each row's pool, never rounded to zero."""
         # The kernels call this every step, mostly with no rows.
@@ -220,13 +297,9 @@ class _Removed:
     def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One draw per row from the prior renormalized over its pool.
 
-        Until a token is removed, a plain prior draw. At V <= 8 a depleted
-        pool takes the exact draw for every row, one uniform per row and
-        one gather from the byte-pool table: a prior draw there would hit
-        a removed token often enough to cost a second draw.
-
-        At V > 8, draws from the unrestricted prior and redraws rows that
-        hit a removed token. That is rejection from the prior, so each row
+        Until a token is removed, a plain prior draw. After that, draws
+        from the unrestricted prior and redraws rows that hit a removed
+        token. That is rejection from the prior, so each row
         gets exactly the renormalized pool, and it costs no constraint
         evaluation. A prior draw hits a row's removed tokens with chance
         mass / total, so ``k = ceil(2 / log(total / mass))`` candidates (no
@@ -243,8 +316,6 @@ class _Removed:
         if not self.depleted:
             return sample_many(self.prior, rows.shape[0], rng)
         vocab = self.probs.shape[0]
-        if vocab <= 8:
-            return self._draw_exact(rows, rng)
         out = sample_many(self.prior, rows.shape[0], rng)
         pending = self._removed(rows, out).nonzero()[0]
         while pending.size:
@@ -314,47 +385,36 @@ class _Removed:
 
     def _first_above(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Each row's first token whose cumulative pool mass exceeds ``u`` times the pool's total."""
-        small = self.probs.shape[0] <= 8
-        if small:
-            # A pool of at most 8 tokens is fixed by its row's one byte, so
-            # the rows gather their pools, a column each, from the prior's
-            # table of every byte value.
-            cum, below = self.prior.byte_pools()
-            pool = self.bits[rows, 0]
-            c = cum.take(pool, axis=1)
-            tot = c[-1]
-            cap = below.take(pool)
-        else:
-            c = np.cumsum(self._pool(rows), axis=1)
-            tot = c[:, -1]
-            cap = np.nextafter(tot, 0.0)
+        c = np.cumsum(self._pool(rows), axis=1)
+        tot = c[:, -1]
         if (tot <= 0.0).any():
             raise NoValidToken("every positive-mass token was rejected (z = 0?)")
         # A denormal pool can round u up to tot; keeping ub below tot
         # leaves a crossing in every row, never past the last positive token.
-        ub = np.minimum(u * tot, cap)
-        # A pool's cumulative masses are nondecreasing, so its first crossing
-        # of ub is the count of entries <= ub. At V <= 8 that count is a sum
-        # of V - 1 rows of n: for 1000 pools of three tokens, 2.7x faster
-        # than an argmax along each pool (2-core x86 host).
-        if small:
-            return (c[:-1] <= ub).sum(axis=0)
+        ub = np.minimum(u * tot, np.nextafter(tot, 0.0))
+        # Cumulative masses are nondecreasing: the first one above ub is the token's.
         return (c > ub[:, None]).argmax(axis=1)
+
+
+def _new_pool(n_runs: int, prior: Categorical):
+    """The removed-token pool of n runs: a byte per run up to 8 tokens, a packed bit row past that."""
+    return (_BytePool if prior.vocab_size <= 8 else _Removed)(n_runs, prior)
 
 
 def _chunked(kernel, prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator, *args):
     """Run ``kernel(rem, c, m, rng, *args)`` over chunks of the n runs and join its arrays.
 
-    Each chunk of m runs gets its own ``_Removed`` pool of at most
+    Each chunk of m runs gets its own pool (``_new_pool``) of at most
     ``_CHUNK_BYTES`` and runs after the last on the same random stream; a
     call of no runs runs one empty chunk. A one-chunk call returns the
     kernel's arrays as they are, uncopied.
     """
+    n = check_count("n", n, 0)
     per = max(1, min(n, _CHUNK_BYTES // ((prior.vocab_size + 7) >> 3)))
     parts = []
     for lo in range(0, max(n, 1), per):
         m = min(per, n - lo)
-        rem = _Removed(m, prior)
+        rem = _new_pool(m, prior)
         parts.append(kernel(rem, c, m, rng, *args))
         rem.release()
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
@@ -386,8 +446,11 @@ def _budgeted(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gen
     draw: phantom rejections, charged to R without a constraint call. A run
     whose phantoms spend its budget ends before it draws. Returns per run
     the first accepted token (the first draw when none was accepted), the
-    constraint evaluations, and the acceptance and rejection counts.
+    constraint evaluations, and the acceptance and rejection counts. Run
+    without a pool, it checks ``n``; ``_chunked`` checks it for a pool.
     """
+    if rem is None:
+        n = check_count("n", n, 0)
     tokens = np.empty(n, dtype=np.int64)
     trials = np.empty(n, dtype=np.int64)
     s = np.empty(n, dtype=np.int64)
@@ -406,12 +469,13 @@ def _budgeted(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Gen
         if rem is None:
             cand = sample_many(prior, alive.size, rng)
         else:
-            # A prior draw hits the removed mass with chance ``rem.mass``, so a
-            # run's hits before its next novel draw are geometric. The count
+            # A prior draw hits a removed token with chance the removed mass
+            # (never negative, so p <= 1), so a run's hits before its next
+            # novel draw are geometric. The count
             # is clipped at the budget left: once the removed mass rounds to
             # 1 it saturates at the int64 maximum.
             room = R - (rounds - got + held)
-            hits = rng.geometric(np.maximum(1.0 - rem.mass[alive], 1e-300)) - 1
+            hits = rng.geometric(np.maximum(1.0 - rem.removed_mass(alive), 1e-300)) - 1
             over = hits >= room
             held += np.minimum(hits, room)
             if over.any():
@@ -566,7 +630,7 @@ def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
         if clipped:
             nrej[rows] += 1
             boost[alive[rej & crossed]] += 1.0
-            mass = rem.mass[alive]
+            mass = rem.removed_mass(alive)
             cross = rej & ~second & (mass > theta0)
             # Rejecting every positive-mass token leaves no pool to probe
             # (z = 0): the run ends dead on its last rejection.

@@ -57,6 +57,7 @@ from .samplers import (
     ars_batch,
     awrs_batch,
     cawrs_batch,
+    check_count,
     check_knobs,
     cwrs_batch,
     gawrs_batch,
@@ -285,10 +286,9 @@ def _run_smc(
     ``accept``, when given, is a whole-string check applied once per
     distinct finished string; a rejected string's particles get weight zero.
     Its evaluations on ``family.counter`` count in the last step's entry of
-    ``eval_counts``.
+    ``eval_counts``. Each public caller checks its particle count
+    (``check_count``) under its own argument name.
     """
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
     _check_alphabet(family, lm.alphabet)
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
@@ -389,6 +389,7 @@ def smc_twist(
     is multiplied by the 0/1 indicator that its extended prefix (or, on
     end-of-string, the complete string) still satisfies the constraint.
     """
+    n_particles = check_count("n_particles", n_particles, 1)
     return _run_smc(lm, family, _twist, n_particles, tau, seed, resample)
 
 
@@ -414,6 +415,7 @@ def smc_pwp(
     ``proposal`` is a sampler name for ``weighted_proposal``, which gets
     ``proposal_params``, or a batch ``Proposal`` callable, which takes none.
     """
+    n_particles = check_count("n_particles", n_particles, 1)
     if isinstance(proposal, str):
         proposal = weighted_proposal(proposal, **proposal_params)
     elif proposal_params:
@@ -432,8 +434,7 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
     does. The rollouts draw from one stream in turn, so the first N of a
     run of more are a run of N.
     """
-    if n < 1:
-        raise ValueError("need at least one rollout")
+    n = check_count("n", n, 1)
     _check_alphabet(family, lm.alphabet)
     eval_before = family.counter.count
     index: dict[str, int] = {}
@@ -470,6 +471,7 @@ def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:
     ``eval_counts``; a callable's counts nothing. Raises AllDead if every
     rollout fails.
     """
+    n = check_count("n", n, 1)
     _check_alphabet(verifier, lm.alphabet)
     anything = DfaPattern(["q"], lm.alphabet, {"q": {ch: "q" for ch in lm.alphabet}}, ["q"])
     if callable(verifier):
@@ -493,6 +495,7 @@ def lcd_sample(lm: ToyLM, family, n: int, seed: int = 0, sampler: str = "ars") -
     Every rollout has weight 1, so the posterior estimate is the rollout
     frequencies. Raises DeadPrefix if a step has no valid token.
     """
+    n = check_count("n", n, 1)
     if sampler not in ("ars", "mask"):
         raise ValueError("sampler must be 'ars' or 'mask'")
     if not family.is_valid_prefix(""):

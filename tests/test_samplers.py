@@ -651,23 +651,42 @@ class TestPackedPool:
         np.testing.assert_allclose(out.zhats[clean], math.fsum(prior.probs.tolist()), rtol=0, atol=1e-15)
 
 
+def removed_bits(rem, rows):
+    """(rows x V) 0/1 matrix of each row's removed tokens, for either kind of pool."""
+    vocab = rem.prior.vocab_size
+    packed = rem.byte[rows, None] if isinstance(rem, samplers._BytePool) else rem.bits[rows]
+    return np.unpackbits(packed, axis=1, count=vocab, bitorder="little")
+
+
 def count_draw(rem, rows, u):
-    """The exact draw as a count of each row's cumulative pool masses at or below u * total."""
-    c = np.cumsum(rem._pool(rows), axis=1)
-    tot = c[:, -1]
-    ub = np.minimum(u * tot, np.nextafter(tot, 0.0))
-    return np.minimum(np.sum(c <= ub[:, None], axis=1), c.shape[1] - 1)
+    """The exact draw as a count of each row's cumulative pool masses at or below its uniform.
+
+    Up to 8 tokens the masses are over the pool's own total and the count
+    runs over the first V - 1 of them; past 8 the uniform is scaled by the
+    total and kept below it.
+    """
+    c = np.cumsum(np.where(removed_bits(rem, rows), 0.0, rem.probs[None, :]), axis=1)
+    tot = c[:, -1:]
+    if rem.prior.vocab_size <= 8:
+        return np.sum(c[:, :-1] / tot <= u[:, None], axis=1)
+    ub = np.minimum(u[:, None] * tot, np.nextafter(tot, 0.0))
+    return np.minimum(np.sum(c <= ub, axis=1), c.shape[1] - 1)
 
 
-def removed_at_random(rem, rng):
-    """Remove a random set of the prior's support from each row, keeping one token per row."""
-    support = rem.prior.support()
-    n = rem.mass.shape[0]
-    removed = rng.random((n, support.shape[0])) < 0.5
-    removed[np.arange(n), rng.integers(support.shape[0], size=n)] = False
-    for j, token in enumerate(support.tolist()):
-        rows = np.flatnonzero(removed[:, j])
+def remove(rem, removed):
+    """Remove from row i of the pool the tokens where ``removed[i]`` is true."""
+    for token in range(removed.shape[1]):
+        rows = np.flatnonzero(removed[:, token])
         rem.add(rows, np.full(rows.shape[0], token))
+
+
+def removed_at_random(rem, n, rng):
+    """Remove a random set of the prior's support from each of n rows, keeping one token per row."""
+    support = rem.prior.support()
+    removed = np.zeros((n, rem.prior.vocab_size), dtype=bool)
+    removed[:, support] = rng.random((n, support.shape[0])) < 0.5
+    removed[np.arange(n), support[rng.integers(support.shape[0], size=n)]] = False
+    remove(rem, removed)
 
 
 class TestDrawStreams:
@@ -676,7 +695,7 @@ class TestDrawStreams:
     @pytest.mark.parametrize("vocab", [3, 40])
     def test_untouched_pool_draw_is_a_prior_draw(self, vocab):
         prior = normalize(make_rng(70, vocab).random(vocab))
-        rem = samplers._Removed(500, prior)
+        rem = samplers._new_pool(500, prior)
         rng, twin = make_rng(71, vocab), make_rng(71, vocab)
         np.testing.assert_array_equal(rem.draw(np.arange(500), rng), sample_many(prior, 500, twin))
         # Both generators stand at the same point of the stream.
@@ -689,16 +708,18 @@ class TestDrawStreams:
 
     @pytest.mark.parametrize("vocab", [6, 8, 20])
     def test_exact_draw_matches_count_formulation(self, vocab):
-        # Zero-mass tokens at both ends and inside; up to 8 tokens the pools
-        # come from a per-byte table, past 8 from the rows' own bits.
+        # Zero-mass tokens at both ends and inside; up to 8 tokens a depleted
+        # pool's every draw is exact, read from a per-byte table, past 8 the
+        # exact draw reads the rows' own bits.
         g = make_rng(72, vocab)
         probs = g.random(vocab)
         probs[[0, vocab // 2, vocab - 1]] = 0.0
-        rem = samplers._Removed(400, normalize(probs))
-        removed_at_random(rem, g)
+        rem = samplers._new_pool(400, normalize(probs))
+        removed_at_random(rem, 400, g)
         rows = np.arange(400)
         u = g.random(400)
-        np.testing.assert_array_equal(rem._draw_exact(rows, en.FixedUniforms(u)), count_draw(rem, rows, u))
+        draw = rem.draw if vocab <= 8 else rem._draw_exact
+        np.testing.assert_array_equal(draw(rows, en.FixedUniforms(u)), count_draw(rem, rows, u))
 
     @pytest.mark.parametrize("vocab", [3, 8])
     def test_depleted_small_vocab_draws_exactly_first(self, vocab, monkeypatch):
@@ -708,20 +729,20 @@ class TestDrawStreams:
             raise AssertionError("prior draw from a depleted pool at V <= 8")
 
         g = make_rng(75, vocab)
-        rem = samplers._Removed(400, normalize(g.random(vocab)))
-        removed_at_random(rem, g)
+        rem = samplers._new_pool(400, normalize(g.random(vocab)))
+        removed_at_random(rem, 400, g)
         monkeypatch.setattr(samplers, "sample_many", refuse)
         rows = np.arange(400)
         u = g.random(400)
         tokens = rem.draw(rows, en.FixedUniforms(u))
         np.testing.assert_array_equal(tokens, count_draw(rem, rows, u))
-        assert not np.any(rem._removed(rows, tokens))
+        assert not np.any(removed_bits(rem, rows)[rows, tokens])
 
     def test_depleted_pool_past_8_draws_from_prior_first(self, monkeypatch):
         # At V = 9 a depleted pool still draws every row from the prior first.
         g = make_rng(76)
-        rem = samplers._Removed(400, normalize(g.random(9)))
-        removed_at_random(rem, g)
+        rem = samplers._new_pool(400, normalize(g.random(9)))
+        removed_at_random(rem, 400, g)
         drawn = []
         draw_prior = samplers.sample_many
 
@@ -733,7 +754,7 @@ class TestDrawStreams:
         rows = np.arange(400)
         tokens = rem.draw(rows, make_rng(77))
         assert drawn[0] == 400
-        assert not np.any(rem._removed(rows, tokens))
+        assert not np.any(removed_bits(rem, rows)[rows, tokens])
 
     @pytest.mark.parametrize(
         "weights",
@@ -741,18 +762,72 @@ class TestDrawStreams:
         ids=["table", "bits"],
     )
     def test_exact_draw_on_boundaries(self, weights):
-        # Dyadic masses and uniforms make u * total land exactly on cumulative
-        # masses, where a crossing taken at ">=" would return a zero-mass or
-        # removed token.
+        # Dyadic masses and uniforms make u land exactly on cumulative masses
+        # (over the pool's total, or scaled by it), where a crossing taken at
+        # ">=" would return a zero-mass or removed token.
         prior = normalize(np.array(weights, dtype=float))
-        rem = samplers._Removed(400, prior)
-        removed_at_random(rem, make_rng(73))
+        rem = samplers._new_pool(400, prior)
+        removed_at_random(rem, 400, make_rng(73))
         rows = np.arange(400)
         u = make_rng(74).integers(0, 8, size=400) / 8.0
-        tokens = rem._draw_exact(rows, en.FixedUniforms(u))
+        draw = rem.draw if prior.vocab_size <= 8 else rem._draw_exact
+        tokens = draw(rows, en.FixedUniforms(u))
         np.testing.assert_array_equal(tokens, count_draw(rem, rows, u))
         assert np.all(prior.probs[tokens] > 0)
-        assert not np.any(rem._removed(rows, tokens))
+        assert not np.any(removed_bits(rem, rows)[rows, tokens])
+
+
+@st.composite
+def byte_pool_case(draw):
+    """A prior of at most 8 tokens with edge masses, 1-12 removed sets and a uniform per set."""
+    v = draw(st.integers(min_value=1, max_value=8))
+    mass = st.sampled_from(EDGE_MASSES) | st.floats(min_value=1e-3, max_value=1.0)
+    raw = draw(st.lists(mass, min_size=v, max_size=v).filter(lambda w: sum(w) > 0))
+    n = draw(st.integers(min_value=1, max_value=12))
+    removed = draw(st.lists(st.integers(min_value=0, max_value=(1 << v) - 1), min_size=n, max_size=n))
+    u = draw(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=n, max_size=n))
+    bits = np.unpackbits(np.array(removed, dtype=np.uint8)[:, None], axis=1, count=v, bitorder="little")
+    return normalize(raw), bits.astype(bool), np.array(u)
+
+
+class TestBytePool:
+    """Every answer of a pool over at most 8 tokens is a table lookup by its byte."""
+
+    @given(byte_pool_case())
+    @settings(max_examples=300, deadline=None)
+    @example((Categorical(np.array([5e-324, 1.0])), np.array([[False, True], [False, False]]), np.array([0.5, 0.0])))
+    def test_lookups_match_sums_over_the_pool(self, case):
+        # Every prior's tables hold the empty pool (byte 2^V - 1), whose
+        # column must be built without a 0 / 0 warning.
+        prior, removed, u = case
+        n = removed.shape[0]
+        rem = samplers._BytePool(n, prior)
+        remove(rem, removed)
+        rows = np.arange(n)
+        survivors = np.where(removed, 0.0, prior.probs)
+        gone = np.where(removed, prior.probs, 0.0)
+        left, lost = rem.left(rows), rem.removed_mass(rows)
+        for i in range(n):
+            exact = math.fsum(survivors[i].tolist())
+            assert abs(left[i] - exact) <= 8 * math.ulp(exact)
+            assert (left[i] > 0) == (exact > 0)
+            exact = math.fsum(gone[i].tolist())
+            assert abs(lost[i] - exact) <= 8 * math.ulp(exact)
+        # gawrs's geometric draw takes max(1 - removed mass, 1e-300): in (0, 1].
+        assert np.all(lost >= 0.0)
+        p = np.maximum(1.0 - lost, 1e-300)
+        assert np.all((p > 0.0) & (p <= 1.0))
+        if not rem.depleted:
+            return
+        empty = left == 0.0
+        if empty.any():
+            with pytest.raises(NoValidToken):
+                rem.draw(rows, en.FixedUniforms(u))
+        rows, u = rows[~empty], u[~empty]
+        if rows.size:
+            tokens = rem.draw(rows, en.FixedUniforms(u))
+            np.testing.assert_array_equal(tokens, count_draw(rem, rows, u))
+            assert np.all(survivors[rows, tokens] > 0)
 
 
 def peaked_instance(vocab):
@@ -956,6 +1031,23 @@ class TestDeterminismAndConfig:
         np.testing.assert_array_equal(
             cwrs_batch(Categorical(P5), c_of(V5), 64, make_rng(1), **{knob: 3.0}).zhats,
             cwrs_batch(Categorical(P5), c_of(V5), 64, make_rng(1), **{knob: 3}).zhats,
+        )
+
+    @pytest.mark.parametrize(
+        "batch",
+        [rs_batch, ars_batch, wrs_batch, awrs_batch, cawrs_batch, cwrs_batch, gawrs_batch, rawrs_batch],
+        ids=["rs", "ars", "wrs", "awrs", "cawrs", "cwrs", "gawrs", "rawrs"],
+    )
+    @pytest.mark.parametrize("n", [-1, 10.5, True, float("nan"), "10"])
+    def test_run_count_must_be_a_whole_number(self, batch, n):
+        # numpy's own error for a bad size names no argument.
+        c = c_of(V5)
+        with pytest.raises(ValueError, match="^n must be a whole number >= 0"):
+            batch(Categorical(P5), c, n, make_rng(0))
+        assert c.eval_count == 0
+        np.testing.assert_array_equal(
+            batch(Categorical(P5), c_of(V5), 10.0, make_rng(1)).tokens,
+            batch(Categorical(P5), c_of(V5), 10, make_rng(1)).tokens,
         )
 
     def test_predicate_constraints_work_with_kernels(self):

@@ -446,6 +446,32 @@ PERMUTED_LM = two_symbol_lm(3, [0.5, 0.3, 0.2])
 A_STAR = {"states": ["q"], "transitions": {"q": {"a": "q"}}, "accepting": ["q"]}
 
 
+class TestParticleCount:
+    """Every rollout method refuses a count that is not a whole number >= 1, naming it."""
+
+    RUNS = {
+        "smc_pwp": ("n_particles", lambda lm, fam, n: smc_pwp(lm, fam, "awrs", n_particles=n)),
+        "smc_twist": ("n_particles", lambda lm, fam, n: smc_twist(lm, fam, n_particles=n)),
+        "lcd_sample": ("n", lambda lm, fam, n: lcd_sample(lm, fam, n=n)),
+        "sample_verify": ("n", lambda lm, fam, n: sample_verify(lm, fam, n=n)),
+        "importance_sample": ("n", lambda lm, fam, n: importance_sample(lm, fam, n=n)),
+    }
+
+    @pytest.mark.parametrize("entry", list(RUNS))
+    @pytest.mark.parametrize("count", [0, -1, 10.5, True, float("nan"), "10"])
+    def test_refused(self, lm, lang, entry, count):
+        name, run = self.RUNS[entry]
+        before = lang.counter.count
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number >= 1"):
+            run(lm, lang, count)
+        assert lang.counter.count == before
+
+    @pytest.mark.parametrize("entry", list(RUNS))
+    def test_whole_float_is_that_count(self, lm, lang, entry):
+        _, run = self.RUNS[entry]
+        assert run(lm, lang, 20.0).prefixes == run(lm, lang, 20).prefixes
+
+
 class TestAlphabetCheck:
     """Every entry point refuses an automaton over another alphabet than the model's."""
 
