@@ -5,6 +5,11 @@ vectors; at the vocabulary sizes this library targets (<= 1e5) that is
 both simpler and faster than sparse or log-space storage. Zero-probability
 tokens are legal everywhere and are never sampled, and a distribution with
 one supported token is sampled without drawing a uniform.
+
+Building a ``Categorical`` is its check, and models and the masking oracle
+build one per step, so the check is kept to few numpy calls: its sign test
+is one reduction, ``probs.min() >= 0``, which fails on NaN as the sum test
+does.
 """
 
 from __future__ import annotations
@@ -58,14 +63,17 @@ class Categorical:
         probs = self.probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1:
             raise ValueError("probs must be a 1-d vector")
-        # Both tests fail on NaN, as every comparison with NaN is False.
-        if not np.all(probs >= 0):
+        # min() of an empty vector would raise numpy's own error.
+        if not probs.size:
+            raise ValueError("probs must not be an empty vector")
+        # Both tests fail on NaN: min() returns NaN, and every comparison with NaN is False.
+        if not probs.min() >= 0:
             raise ValueError("probs must be non-negative and not NaN")
         # A pairwise sum: at V = 1e5 the sequential cumulative total is off by up to 2.3e-12.
         self.total = float(probs.sum())
         if not abs(self.total - 1.0) <= SUM_TOL:
             raise ValueError("probs must be finite and sum to 1 (use normalize() on raw weights)")
-        self._cum = np.cumsum(probs)
+        self._cum = probs.cumsum()
         self._point = int(probs.argmax()) if np.count_nonzero(probs) == 1 else -1
 
     @property
@@ -118,8 +126,16 @@ def normalize(weights) -> Categorical:
 
 
 def sample(dist: Categorical, rng: np.random.Generator) -> int:
-    """Draw one token id distributed as ``dist.probs``."""
-    return int(sample_many(dist, 1, rng)[0])
+    """Draw one token id distributed as ``dist.probs``.
+
+    The scalar form of ``sample_many``: it returns the token that
+    ``sample_many(dist, 1, rng)[0]`` returns and leaves ``rng`` in the same
+    state, without building arrays for a batch of one.
+    """
+    if dist._point >= 0:
+        return dist._point
+    cum = dist._cum
+    return min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), cum.shape[0] - 1)
 
 
 def sample_many(dist: Categorical, n: int, rng: np.random.Generator) -> np.ndarray:

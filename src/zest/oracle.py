@@ -45,7 +45,10 @@ def token_mask(prior: Categorical, c: TokenConstraint) -> LocalPosterior:
     Raises NoValidToken when no valid token has prior mass (z = 0).
     """
     valid = c.evaluate_many(np.arange(prior.vocab_size, dtype=np.int64))
-    unnorm = np.where(valid, prior.probs, 0.0)
+    # On a validated (finite, non-negative) prior this is np.where(valid,
+    # prior.probs, 0.0) bit for bit, except that a -0.0 mass at an invalid
+    # token stays -0.0.
+    unnorm = prior.probs * valid
     z = float(unnorm.sum())
     if z <= 0.0:
         raise NoValidToken("constraint leaves no prior mass")

@@ -644,7 +644,8 @@ def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
         # A run whose first loop ends this round records its pool mass.
         if L:
             at = alive[ends]
-            left0[at] = rem.left(at)
+            if at.size:
+                left0[at] = rem.left(at)
         trials[alive[stop]] = rounds
         keep = ~stop
         alive, second = alive[keep], (second | ok)[keep]

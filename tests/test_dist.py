@@ -24,6 +24,22 @@ def rows(draw):
     return row
 
 
+@st.composite
+def categoricals(draw):
+    """Distributions with zero-mass entries, long tails down to 1e-300, or one supported token."""
+    width = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        w = np.zeros(width)
+        w[draw(st.integers(0, width - 1))] = 1.0
+    else:
+        mass = st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(0.0, 1.0))
+        w = np.array(draw(st.lists(mass, min_size=width, max_size=width)))
+        w *= draw(st.sampled_from([1.0, 0.5])) ** np.arange(width)
+        if not w.sum() > 0:
+            w[-1] = 1.0
+    return normalize(w)
+
+
 class TestTheOneCheck:
     """``Categorical`` is the one check of a next-token distribution."""
 
@@ -36,6 +52,10 @@ class TestTheOneCheck:
         # NaN passed both range tests of an `any(p < 0)` and `abs(sum - 1) > tol` check.
         with pytest.raises(ValueError):
             Categorical(np.array(probs))
+
+    def test_empty_vector_is_refused(self):
+        with pytest.raises(ValueError, match="empty vector"):
+            Categorical(np.array([]))
 
     @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]], ids=["nan", "inf", "minus-inf"])
     def test_normalize_refuses_nan_and_inf(self, weights):
@@ -106,6 +126,19 @@ class TestSample:
         np.testing.assert_array_equal(sample_many(dist, 5, rng), np.zeros(5))
         twin.random(5)
         np.testing.assert_array_equal(rng.random(8), twin.random(8))
+
+    @settings(max_examples=300)
+    @given(categoricals(), st.integers(0, 2**32 - 1))
+    def test_sample_is_sample_many_of_one(self, dist, seed):
+        # The scalar path must draw the token and consume the stream exactly
+        # as a batch of one does: the benchmark's trie_pair draws its
+        # 200-string language with sample, so a changed stream would change
+        # the workload itself.
+        rng, twin = make_rng(seed), make_rng(seed)
+        tokens = [sample(dist, rng) for _ in range(64)]
+        assert all(type(t) is int for t in tokens)
+        assert tokens == [int(sample_many(dist, 1, twin)[0]) for _ in range(64)]
+        np.testing.assert_array_equal(rng.random(4), twin.random(4))
 
     def test_fair_coin_frequency(self):
         # CLT bound: 4 sigma of a fair coin at 1e6 draws is 0.002.

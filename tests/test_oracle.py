@@ -35,6 +35,28 @@ class TestTokenMask:
         with pytest.raises(NoValidToken):
             token_mask(prior, mask_constraint(np.array([False, False])))
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_matches_where_reference_bit_for_bit(self, weights, data):
+        # The masked masses are the prior's product with the mask; on a
+        # validated prior that is the np.where form, bit for bit.
+        if not sum(weights) > 0:
+            weights[0] = 1.0
+        prior = normalize(weights)
+        valid = np.array(data.draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights))))
+        ref = np.where(valid, prior.probs, 0.0)
+        z = float(ref.sum())
+        if z <= 0.0:
+            with pytest.raises(NoValidToken):
+                token_mask(prior, mask_constraint(valid))
+            return
+        local = token_mask(prior, mask_constraint(valid))
+        assert np.float64(local.z).tobytes() == np.float64(z).tobytes()
+        assert local.post.probs.tobytes() == (ref / z).tobytes()
+
     def test_costs_full_vocabulary(self):
         prior = normalize(np.ones(7))
         c = mask_constraint(np.ones(7, dtype=bool))
