@@ -62,7 +62,16 @@ rejected tokens until L + 1 acceptances, and finite thresholds clip it.
 once (``_rawrs``); its estimate is the pool mass. Every loop runs in
 rounds, one draw per running run per round, so each loop takes a run's
 trial count as the round it ends in rather than counting per run every
-round.
+round. A round of ``_adaptive`` does only the work that round needs: it
+updates the pools only if a draw was rejected, records first acceptances
+only while some running run is in its first loop (and reads the pool
+mass of the runs whose first loop ends through the same gather), and
+records trials and drops runs only if some run stops, which at L = 1
+none does in round 1. A pool over a point mass whose token round 1 finds
+valid needs no more rounds: each run ends after its L + 1 counted
+evaluations with that token, ``zhat`` the prior's total and L + 1
+trials, as the rounds would end it (``_valid_point``). An invalid point
+mass runs the loop as any other pool does.
 """
 
 from __future__ import annotations
@@ -574,6 +583,21 @@ def wrs_batch(
 # Rejection sampling without replacement: ars, awrs and cawrs
 
 
+def _valid_point(c, cand, total, L):
+    """Every run of ``_adaptive`` over a point mass whose token, drawn as ``cand``, round 1 found valid.
+
+    Each later round would draw the same token, with no uniform, and accept
+    it, so every run ends at round L + 1 with nothing removed: the L more
+    evaluations are made and counted as the rounds would make them, and
+    zhat is the pool mass over one rejection-free count, ``total`` (0 at
+    L = 0, which keeps no weight).
+    """
+    for _ in range(L):
+        c.evaluate_many(cand)
+    n = cand.shape[0]
+    return cand, np.full(n, total if L else 0.0), np.full(n, L + 1, dtype=np.int64)
+
+
 def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
     """Draw from a pool that loses each rejected token, per run, until L + 1 acceptances.
 
@@ -587,15 +611,26 @@ def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
     whose pool runs out raises NoValidToken. Returns per run the first
     accepted token (the last draw of a dead run), ``zhat`` and the
     constraint evaluations.
+
+    A round does only the work it needs: it updates the pools only if a
+    draw was rejected, records first acceptances only while some running
+    run is in its first loop, and records trials and drops runs only if
+    some run stops. A pool over a point mass whose token round 1 finds
+    valid ends there: ``_valid_point`` makes the L evaluations left and
+    returns what the rounds would. An invalid point mass takes the loop.
     """
     tokens = np.empty(n, dtype=np.int64)
     trials = np.empty(n, dtype=np.int64)
     # The pool mass when the first loop ends.
     left0 = np.zeros(n)
     alive = np.arange(n)
-    # Whether each running run is in its second loop, aligned with ``alive``.
+    # Whether each running run is in its second loop, aligned with ``alive``,
+    # and how many running runs are in their first. Unclipped, ``second`` is
+    # read and kept only while some but not all running runs are in their
+    # first loop; otherwise it is all False or all True.
     # A running run draws once per round, so its trials are the round it ends in.
     second = np.zeros(n, dtype=bool)
+    in_first = n
     clipped = theta0 < math.inf
     if clipped:
         # Unclipped, a run ends on its (L + 1)-th acceptance, so its
@@ -613,44 +648,71 @@ def _adaptive(rem, c, n, rng, L, theta0=math.inf, theta1=math.inf):
         cand = rem.draw(alive, rng)
         ok = c.evaluate_many(cand)
         rounds += 1
+        size, firsts = alive.size, in_first
+        nok = int(np.count_nonzero(ok))
+        if rounds == 1 and nok == n and rem.prior._point >= 0:
+            return _valid_point(c, cand, rem.prior.total, L)
         rej = ~ok
-        if clipped:
+        if clipped and firsts:
             # A probe is not removed: an invalid one ends its run dead.
             probing = crossed & ~second
             dead = probing & rej
             rej &= ~probing
-        rows = alive[rej]
-        rem.add(rows, cand[rej])
-        # The first acceptance, or a valid probe, keeps its token; acceptances
-        # are not removed, so the token stays in the second loop's pool.
-        first = ok & ~second
-        tokens[alive[first]] = cand[first]
-        ends = first
-        stop = ok & second if L else ok
+        if nok < size:
+            rows = alive[rej]
+            rem.add(rows, cand[rej])
+            if clipped:
+                nrej[rows] += 1
+                boost[alive[rej & crossed]] += 1.0
         if clipped:
-            nrej[rows] += 1
-            boost[alive[rej & crossed]] += 1.0
             mass = rem.removed_mass(alive)
-            cross = rej & ~second & (mass > theta0)
-            # Rejecting every positive-mass token leaves no pool to probe
-            # (z = 0): the run ends dead on its last rejection.
-            dead |= rej & ~second & (nrej[alive] == npos)
-            tokens[alive[dead]] = cand[dead]
-            boost[alive[dead]] = 0.0
-            ends = (first & ~crossed) | cross
-            # A probe that starts the second loop past theta1 ends it at once.
-            stop = stop | dead | ((second | ok) & (mass > theta1))
-            crossed = crossed | cross
-        # A run whose first loop ends this round records its pool mass.
-        if L:
-            at = alive[ends]
-            if at.size:
+        nfirst = 0
+        if firsts:
+            # The first acceptance, or a valid probe, keeps its token; acceptances
+            # are not removed, so the token stays in the second loop's pool.
+            first = ok if firsts == size else ok & ~second
+            at = alive[first]
+            tokens[at] = cand[first]
+            nfirst = at.size
+            if clipped:
+                cross = rej & ~second & (mass > theta0)
+                # Rejecting every positive-mass token leaves no pool to probe
+                # (z = 0): the run ends dead on its last rejection.
+                dead |= rej & ~second & (nrej[alive] == npos)
+                tokens[alive[dead]] = cand[dead]
+                boost[alive[dead]] = 0.0
+                at = alive[(first & ~crossed) | cross]
+                crossed = crossed | cross
+                in_first -= int(np.count_nonzero(dead))
+            in_first -= nfirst
+            # A run whose first loop ends this round records its pool mass.
+            if L and at.size:
                 left0[at] = rem.left(at)
-        trials[alive[stop]] = rounds
-        keep = ~stop
-        alive, second = alive[keep], (second | ok)[keep]
         if clipped:
-            crossed = crossed[keep]
+            # A probe that starts the second loop past theta1 ends it at once.
+            stop = (ok & second) | ((second | ok) & (mass > theta1))
+            if firsts:
+                stop |= dead
+            nstop = int(np.count_nonzero(stop))
+        else:
+            # Unclipped, each acceptance but a first one ends its run.
+            nstop = nok - nfirst if L else nok
+        if nstop == size:
+            trials[alive] = rounds
+            break
+        keep = None
+        if nstop:
+            if not clipped:
+                stop = ok & second if L and firsts else ok
+            trials[alive[stop]] = rounds
+            keep = ~stop
+            alive = alive[keep]
+            if clipped:
+                crossed = crossed[keep]
+        if clipped or 0 < in_first < alive.size:
+            second = ok if firsts == size else second | ok
+            if keep is not None:
+                second = second[keep]
     if clipped:
         return tokens, boost * (left0 / (nrej + 1.0)), trials
     # At L = 0 the run keeps no weight: left0 is never set and zhat is 0.

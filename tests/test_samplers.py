@@ -69,6 +69,48 @@ class TestSimpleRejection:
         assert np.all(out.trials == 1)
 
 
+# Each kernel on the point mass Categorical([0, 0, 1]) at n = 4, with its
+# token valid and then invalid (z = 0): every row's trials and zhat (None
+# for a kernel without estimates), the evaluations counted and whether the
+# generator moved. Trials None means the call raises NoValidToken.
+POINT_MASS = {
+    "rs": ((1, None, 4, False), (None, None, 13, False)),
+    "ars": ((1, None, 4, False), (None, None, 4, False)),
+    "wrs": ((2, 1.0, 8, False), (None, None, 13, False)),
+    "awrs": ((2, 1.0, 8, False), (None, None, 4, False)),
+    "cawrs": ((2, 1.0, 8, False), (1, 0.0, 4, False)),
+    "cwrs": ((2, 1.0, 8, False), (8, 0.0, 32, False)),
+    "gawrs": ((2, 1.0, 8, True), (1, 0.0, 4, True)),
+    "rawrs": ((1, 1.0, 4, False), (1, 0.0, 4, False)),
+}
+
+
+class TestPointMass:
+    """A prior with one supported token, as every ToyLM's forced end-of-string is."""
+
+    @pytest.mark.parametrize("valid", [True, False])
+    @pytest.mark.parametrize("name", sorted(POINT_MASS))
+    def test_outcome(self, name, valid):
+        trials, zhat, evaluations, moved = POINT_MASS[name][not valid]
+        prior = Categorical(np.array([0.0, 0.0, 1.0]))
+        c = c_of([not valid, not valid, valid])
+        rng = make_rng(3)
+        kernel = getattr(samplers, f"{name}_batch")
+        if trials is None:
+            with pytest.raises(NoValidToken):
+                kernel(prior, c, 4, rng)
+        else:
+            out = kernel(prior, c, 4, rng)
+            np.testing.assert_array_equal(out.tokens, np.full(4, 2))
+            np.testing.assert_array_equal(out.trials, np.full(4, trials))
+            if zhat is None:
+                assert not hasattr(out, "zhats")
+            else:
+                np.testing.assert_array_equal(out.zhats, np.full(4, zhat))
+        assert c.counter.count == evaluations
+        assert (rng.random() != make_rng(3).random()) == moved
+
+
 class TestAdaptiveRejection:
     def test_exactness_single_valid_token(self):
         out = ars_batch(Categorical(P3), c_of(V3_LAST), 10**5, make_rng(3))

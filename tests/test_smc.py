@@ -360,6 +360,23 @@ class TestGroupedEngine:
         # One full-vocabulary mask serves the whole batch.
         assert lang.counter.count - before == lm.vocab_size
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eval_counts_are_the_kernels_trials(self, lm, seed):
+        # Every particle grows one symbol per step, so a group's prefix
+        # length is its step. The last step's groups are point masses on
+        # end-of-string: awrs spends its two evaluations per row there too.
+        lang = RecordingTrie(["aa", "ba"], alphabet=lm.alphabet)
+        trials = [0, 0, 0]
+
+        def recording(prior, c, n, rng):
+            out = awrs_batch(prior, c, n, rng)
+            trials[len(lang.asked[-1])] += int(out.trials.sum())
+            return out.tokens, out.zhats
+
+        ens = smc_pwp(lm, lang, recording, 1000, tau=0.5, seed=seed)
+        assert ens.eval_counts == trials
+        assert trials[2] == 2 * 1000
+
     def test_no_valid_token_kills_only_its_group(self, lm):
         # The first call ignores the constraint, so some particles reach
         # prefix "a", where {"ba"} leaves no valid token and awrs raises
