@@ -3,6 +3,9 @@
 Structured results go to stdout as JSON (or to --out); sweeps write CSV
 plus a metadata JSON next to it. Exit codes: 0 success, 2 configuration
 error, 3 inference failure (reported as machine-readable error JSON).
+``g_hat`` is unbiased only when a run that exits 3 because every particle
+died (AllDead) counts as ``g_hat = 0``; the runs that succeed, alone,
+overstate the mass.
 An option the chosen method or sampler does not read is a configuration
 error. All randomness flows from the single --seed flag.
 """

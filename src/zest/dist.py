@@ -6,10 +6,11 @@ both simpler and faster than sparse or log-space storage. Zero-probability
 tokens are legal everywhere and are never sampled, and a distribution with
 one supported token is sampled without drawing a uniform.
 
-Building a ``Categorical`` is its check, and models and the masking oracle
-build one per step, so the check is kept to few numpy calls: its sign test
-is one reduction, ``probs.min() >= 0``, which fails on NaN as the sum test
-does.
+Building a ``Categorical`` is its check, kept to few numpy calls: its sign
+test is one reduction, ``probs.min() >= 0``, which fails on NaN as the sum
+test does. The masking oracle builds no checked object per step: it derives
+its posterior from a checked prior and a boolean mask with ``masked``,
+which fills the same tables without the checks that cannot fail.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroMass
+from .errors import AllZeroMass, NoValidToken
 
 __all__ = [
     "Categorical",
@@ -47,7 +48,8 @@ class Categorical:
 
     A point mass (one token of positive probability) is sampled without a
     uniform: ``sample_many`` returns its token and leaves the generator
-    where it was.
+    where it was. ``masked`` derives a distribution restricted to some
+    tokens from a checked one, with the same tables and without the check.
     """
 
     probs: np.ndarray
@@ -70,11 +72,40 @@ class Categorical:
         if not probs.min() >= 0:
             raise ValueError("probs must be non-negative and not NaN")
         # A pairwise sum: at V = 1e5 the sequential cumulative total is off by up to 2.3e-12.
-        self.total = float(probs.sum())
-        if not abs(self.total - 1.0) <= SUM_TOL:
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= SUM_TOL:
             raise ValueError("probs must be finite and sum to 1 (use normalize() on raw weights)")
+        self._tables(total)
+
+    def _tables(self, total: float) -> None:
+        """Set ``total`` and build the tables ``sample_many`` reads from ``probs``."""
+        probs = self.probs
+        self.total = total
         self._cum = probs.cumsum()
         self._point = int(probs.argmax()) if np.count_nonzero(probs) == 1 else -1
+
+    def masked(self, valid: np.ndarray) -> tuple[Categorical, float]:
+        """This distribution restricted to the ``valid`` tokens, and its mass z there.
+
+        The posterior is ``probs * valid / z`` with the fields
+        ``Categorical(probs * valid / z)`` would have, built without its
+        checks, which cannot fail: a boolean mask keeps every entry of a
+        checked distribution finite and >= 0 (a -0.0 mass stays -0.0), and
+        dividing by the positive pairwise sum z keeps the total within a
+        few roundings of 1. ``valid`` is a boolean vector of length V.
+        Raises NoValidToken when z = 0.
+        """
+        # On a checked prior this is np.where(valid, probs, 0.0) bit for bit,
+        # except that a -0.0 mass at an invalid token stays -0.0.
+        unnorm = self.probs * valid
+        z = float(unnorm.sum())
+        if z <= 0.0:
+            raise NoValidToken("constraint leaves no prior mass")
+        post = object.__new__(Categorical)
+        post.probs = probs = unnorm / z
+        post._byte_pools = None
+        post._tables(float(probs.sum()))
+        return post, z
 
     @property
     def vocab_size(self) -> int:

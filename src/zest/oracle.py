@@ -42,17 +42,13 @@ def token_mask(prior: Categorical, c: TokenConstraint) -> LocalPosterior:
     This is the full-vocabulary enumeration path: it always costs exactly
     ``vocab_size`` constraint evaluations and yields the exact z, unlike
     the rejection samplers which trade exact z for far fewer evaluations.
+    The posterior is derived from the checked prior by
+    ``Categorical.masked``, which fills the fields a checked build of
+    ``prior.probs * valid / z`` would have, without rerunning its checks.
     Raises NoValidToken when no valid token has prior mass (z = 0).
     """
-    valid = c.evaluate_many(np.arange(prior.vocab_size, dtype=np.int64))
-    # On a validated (finite, non-negative) prior this is np.where(valid,
-    # prior.probs, 0.0) bit for bit, except that a -0.0 mass at an invalid
-    # token stays -0.0.
-    unnorm = prior.probs * valid
-    z = float(unnorm.sum())
-    if z <= 0.0:
-        raise NoValidToken("constraint leaves no prior mass")
-    return LocalPosterior(post=Categorical(unnorm / z), z=z)
+    post, z = prior.masked(c.evaluate_many(np.arange(prior.vocab_size, dtype=np.int64)))
+    return LocalPosterior(post=post, z=z)
 
 
 @dataclass

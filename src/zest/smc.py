@@ -449,19 +449,25 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
     global posterior. A rollout that reaches a prefix with no valid mass
     ends there with weight zero; AllDead is raised only if every rollout
     does. The rollouts draw from one stream in turn, so the first N of a
-    run of more are a run of N.
+    run of more are a run of N. A run asks ``family.constraint_at`` once
+    per distinct prefix and keeps the constraint, so each prefix is walked
+    once; every step still evaluates all V tokens.
     """
     n = check_count("n", n, 1)
     _check_alphabet(family, lm.alphabet)
     eval_before = family.counter.count
     index: dict[str, int] = {}
     node, weights = [], []
+    constraints: dict[str, TokenConstraint] = {}
     rng = make_rng(seed, 0)
     for _ in range(n):
         prefix, w = "", 1.0
         while True:
+            c = constraints.get(prefix)
+            if c is None:
+                c = constraints[prefix] = family.constraint_at(prefix)
             try:
-                local = token_mask(lm.next_dist(prefix), family.constraint_at(prefix))
+                local = token_mask(lm.next_dist(prefix), c)
             except NoValidToken:
                 w = 0.0
                 break

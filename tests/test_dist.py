@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from zest.dist import Categorical, normalize, sample, sample_many
-from zest.errors import AllZeroMass
+from zest.errors import AllZeroMass, NoValidToken
 from zest.rng import make_rng
 from zest.toylm import ToyLM
 
@@ -78,6 +78,85 @@ class TestTheOneCheck:
         # A one-context model accepts the row exactly when Categorical does.
         alphabet = tuple("abcdefg"[: row.shape[0] - 1])
         assert accepts(lambda: ToyLM(alphabet, 0, 2, {"": row})) == want
+
+
+@st.composite
+def masked_priors(draw):
+    """A checked prior over V = 1..64 with zero-mass, -0.0 and denormal entries, and a mask.
+
+    The mask leaves no token, one, some or all of them valid.
+    """
+    width = draw(st.integers(1, 64))
+    mass = st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(mass, min_size=width, max_size=width)))
+    # Odd entries, -0.0 and denormals, go in before and after the scaling:
+    # they move the sum by less than 1e-300.
+    odd = {
+        draw(st.integers(0, width - 1)): draw(st.sampled_from([-0.0, 5e-324, 1e-310, 2.2e-308]))
+        for _ in range(draw(st.integers(0, 4)))
+    }
+    w[list(odd)] = list(odd.values())
+    if not w.sum() > 0:
+        w[draw(st.integers(0, width - 1))] = 1.0
+    probs = normalize(w).probs
+    for i, x in odd.items():
+        if probs[i] < 1e-300:
+            probs[i] = x
+    kind = draw(st.sampled_from(["none", "one", "some", "all"]))
+    if kind == "one":
+        valid = np.zeros(width, dtype=bool)
+        valid[draw(st.integers(0, width - 1))] = True
+    elif kind == "some":
+        valid = np.array(draw(st.lists(st.booleans(), min_size=width, max_size=width)))
+    else:
+        valid = np.full(width, kind == "all")
+    return Categorical(probs), valid
+
+
+def assert_same_fields(got: Categorical, want: Categorical):
+    assert got.probs.dtype == want.probs.dtype and got.probs.tobytes() == want.probs.tobytes()
+    assert np.float64(got.total).tobytes() == np.float64(want.total).tobytes()
+    assert got._cum.tobytes() == want._cum.tobytes()
+    assert got._point == want._point
+    assert got._byte_pools is None
+
+
+class TestMasked:
+    """``masked`` derives the posterior a checked build of ``probs * valid / z`` would give."""
+
+    @settings(max_examples=400)
+    @given(masked_priors())
+    def test_equals_the_checked_build(self, case):
+        prior, valid = case
+        unnorm = prior.probs * valid
+        z = float(unnorm.sum())
+        if z <= 0.0:
+            with pytest.raises(NoValidToken):
+                prior.masked(valid)
+            # The checked build of the same division refuses it too (0/0 is NaN).
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                Categorical(unnorm / z)
+            return
+        post, got_z = prior.masked(valid)
+        assert np.float64(got_z).tobytes() == np.float64(z).tobytes()
+        assert_same_fields(post, Categorical(unnorm / z))
+
+    def test_keeps_negative_zero(self):
+        prior = Categorical(np.array([-0.0, 0.5, 0.0, 0.5]))
+        post, z = prior.masked(np.array([False, True, False, True]))
+        assert z == 1.0
+        assert np.signbit(post.probs).tolist() == [True, False, False, False]
+
+    def test_large_vocabulary(self):
+        g = np.random.default_rng(5)
+        prior = normalize(g.dirichlet(np.full(100_000, 0.1)))
+        valid = g.random(100_000) < 0.3
+        unnorm = prior.probs * valid
+        z = float(unnorm.sum())
+        post, got_z = prior.masked(valid)
+        assert got_z == z
+        assert_same_fields(post, Categorical(unnorm / z))
+        assert post._point == -1 and abs(post.total - 1.0) <= 1e-12
 
 
 class TestNormalize:

@@ -662,6 +662,68 @@ class TestImportanceSampling:
         assert med[100] > med[1000] > med[10000]
 
 
+class BareFamily:
+    """A family that exposes only ``counter``, ``is_valid_prefix`` and ``constraint_at``.
+
+    A proxy such as a tracer puts in front of a family may copy no more
+    than these, so the engines read nothing else.
+    """
+
+    def __init__(self, family):
+        self.counter = family.counter
+        self.is_valid_prefix = family.is_valid_prefix
+        self.constraint_at = family.constraint_at
+
+
+def same_ensemble(a, b):
+    assert a.prefixes == b.prefixes
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert (a.g_hat, a.posterior_estimate, a.eval_counts, a.steps) == (b.g_hat, b.posterior_estimate, b.eval_counts, b.steps)
+
+
+PAIRS = {
+    "a1": lambda: (example_a1(), TrieLanguage(["aa", "ba"], alphabet=("a", "b"))),
+    "ends-in-b": lambda: (two_symbol_lm(3, [0.4, 0.3, 0.3]), ends_in_b()),
+}
+
+
+class TestBareFamily:
+    """Every engine gives the same ensemble through a family proxy that exposes only three reads."""
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda lm, f: importance_sample(lm, f, 300, seed=4),
+            lambda lm, f: smc_pwp(lm, f, "awrs", 300, seed=4),
+            lambda lm, f: smc_pwp(lm, f, "exact", 300, seed=4),
+            lambda lm, f: smc_twist(lm, f, 300, seed=4),
+            lambda lm, f: lcd_sample(lm, f, 300, seed=4, sampler="ars"),
+            lambda lm, f: lcd_sample(lm, f, 300, seed=4, sampler="mask"),
+        ],
+        ids=["is", "pwp-awrs", "pwp-exact", "twist", "lcd-ars", "lcd-mask"],
+    )
+    def test_same_ensemble(self, pair, run):
+        lm, family = PAIRS[pair]()
+        try:
+            want = run(lm, family)
+        except DeadPrefix:
+            # lcd on ends-in-b reaches a dead prefix; the proxy must too.
+            with pytest.raises(DeadPrefix):
+                run(lm, BareFamily(family))
+            return
+        same_ensemble(run(lm, BareFamily(family)), want)
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_importance_sample_evaluates_every_token_per_step(self, pair):
+        # One masking step per symbol and one for end-of-string, dead
+        # rollouts' last step included: the kept constraints save walks,
+        # never evaluations.
+        lm, family = PAIRS[pair]()
+        ens = importance_sample(lm, BareFamily(family), 500, seed=9)
+        assert ens.eval_counts == [(len(lm.alphabet) + 1) * sum(len(s) + 1 for s in ens.prefixes)]
+
+
 class TestSampleVerify:
     def test_surviving_mass_ratio(self, lm, lang):
         ens = sample_verify(lm, lang, n=30000, seed=15)

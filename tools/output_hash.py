@@ -19,6 +19,10 @@ hash covers, for fixed seeds:
   priors with zero-mass tokens and point masses, under random, all-valid
   and all-invalid constraints: each output array, or the error raised, the
   constraint evaluations counted, and the generator's next draws;
+- ``token_mask`` on the same priors and masks: the posterior's
+  ``probs``, ``total``, cumulative sums and point-mass token, and z, or
+  the error raised, so a change to the masking step is checked at its own
+  layer;
 - the ``ars``/``awrs``/``cawrs`` kernels on ``placed_mass_instance`` pairs
   up to V = 1000.
 
@@ -42,7 +46,7 @@ def output_hash(tree: str) -> str:
     from zest.constraints import TrieLanguage, mask_constraint
     from zest.dist import Categorical
     from zest.errors import ZestError
-    from zest.oracle import global_posterior, lcd_distribution
+    from zest.oracle import global_posterior, lcd_distribution, token_mask
     from zest.rng import make_rng
     from zest.simharness import placed_mass_instance
     from zest.smc import importance_sample, lcd_sample, sample_verify, smc_pwp, smc_twist
@@ -95,6 +99,12 @@ def output_hash(tree: str) -> str:
             prior = Categorical(probs / probs.sum())
             half, most = g.random(vocab) < 0.5, g.random(vocab) < 0.8
             valid = (np.zeros(vocab, dtype=bool), np.ones(vocab, dtype=bool), half, most)[i % 4]
+            try:
+                local = token_mask(prior, mask_constraint(valid))
+                post = local.post
+                put((post.probs.tobytes(), post.total, post._cum.tobytes(), post._point, local.z))
+            except ZestError as err:
+                put((type(err).__name__, str(err)))
             for name in kernels:
                 c = mask_constraint(valid)
                 rng = make_rng(vocab, i)
