@@ -22,7 +22,7 @@ from . import analytics
 from .constraints import mask_constraint
 from .dist import Categorical
 from .rng import make_rng
-from .samplers import awrs_batch, wrs_batch
+from .samplers import awrs_batch, check_count, wrs_batch
 
 __all__ = [
     "SweepResult",
@@ -111,14 +111,12 @@ def _ci95(values: np.ndarray) -> tuple[float, float, float]:
     return mean, mean - half, mean + half
 
 
-def _check(minimum: int, **values):
-    """Refuse a count below ``minimum``, or a grid that is empty or has an entry below it."""
-    for name, value in values.items():
-        if isinstance(value, list):
-            if not value or min(value) < minimum:
-                raise ValueError(f"{name} must be non-empty with every entry >= {minimum}, got {value}")
-        elif value < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+def _counts(name: str, grid) -> list[int]:
+    """A grid of counts, each entry checked by ``check_count``; an empty grid is refused."""
+    grid = list(grid)
+    if not grid:
+        raise ValueError(f"{name} must be non-empty")
+    return [check_count(name, v, 1) for v in grid]
 
 
 # Stream addressing shared by the sweeps: instance construction draws
@@ -168,8 +166,10 @@ def bias_experiment(vocab: int, n_instances: int, n_grid: list[int], seed: int, 
     records |mean(zhat over first N) - z| at every N. Aggregate rows carry
     the across-instance MAE with a 95% CI.
     """
-    n_grid = sorted(int(n) for n in n_grid)
-    _check(1, vocab=vocab, n_instances=n_instances, n_grid=n_grid, workers=workers)
+    vocab = check_count("vocab", vocab, 1)
+    n_instances = check_count("n_instances", n_instances, 1)
+    n_grid = sorted(_counts("n_grid", n_grid))
+    workers = check_count("workers", workers, 1)
     jobs = [(vocab, n_grid, seed, i) for i in range(n_instances)]
     rows = [r for chunk in _run_jobs(_bias_one, jobs, workers) for r in chunk]
     for name in _SAMPLERS:
@@ -219,8 +219,11 @@ def variance_vs_l(
     The adaptive sampler appears at its single operating point (one extra
     loop) for comparison.
     """
-    l_grid = sorted(int(v) for v in l_grid)
-    _check(1, vocab=vocab, n_instances=n_instances, l_grid=l_grid, runs=runs, workers=workers)
+    vocab = check_count("vocab", vocab, 1)
+    n_instances = check_count("n_instances", n_instances, 1)
+    l_grid = sorted(_counts("l_grid", l_grid))
+    runs = check_count("runs", runs, 1)
+    workers = check_count("workers", workers, 1)
     jobs = [(vocab, l_grid, runs, seed, i) for i in range(n_instances)]
     rows = [r for chunk in _run_jobs(_variance_one, jobs, workers) for r in chunk]
     meta = dict(kind="variance", vocab=vocab, n_instances=n_instances, l_grid=l_grid, runs=runs, seed=seed)
@@ -276,17 +279,18 @@ def runtime_heatmap(
     closed-form expected counts for both samplers. Every cell must be one
     that ``placed_mass_instance`` can build.
     """
-    _check(2, vocab=vocab)
-    _check(1, runs_per_cell=runs_per_cell, workers=workers)
+    vocab = check_count("vocab", vocab, 2)
+    runs_per_cell = check_count("runs_per_cell", runs_per_cell, 1)
+    workers = check_count("workers", workers, 1)
     if dense:
         default_z, default_k = np.linspace(0.05, 0.95, 19).round(12).tolist(), list(range(1, vocab))
     else:
         default_z, default_k = corner_grids(vocab)
-    z_grid = default_z if z_grid is None else z_grid
-    k_grid = default_k if k_grid is None else k_grid
-    if len(z_grid) == 0 or len(k_grid) == 0:
-        raise ValueError(f"z_grid and k_grid must be non-empty, got {list(z_grid)} and {list(k_grid)}")
-    cells = [(float(z), int(k)) for z in z_grid for k in k_grid]
+    z_grid = [float(z) for z in (default_z if z_grid is None else z_grid)]
+    k_grid = _counts("k_grid", default_k if k_grid is None else k_grid)
+    if not z_grid:
+        raise ValueError("z_grid must be non-empty")
+    cells = [(z, k) for z in z_grid for k in k_grid]
     for z, k in cells:
         try:
             placed_mass_instance(vocab, z, k)
@@ -295,7 +299,7 @@ def runtime_heatmap(
     jobs = [(vocab, z, k, runs_per_cell, seed, idx) for idx, (z, k) in enumerate(cells)]
     rows = [r for chunk in _run_jobs(_heatmap_one, jobs, workers) for r in chunk]
     meta = dict(
-        kind="heatmap", vocab=vocab, z_grid=[float(z) for z in z_grid], k_grid=[int(k) for k in k_grid],
+        kind="heatmap", vocab=vocab, z_grid=z_grid, k_grid=k_grid,
         runs_per_cell=runs_per_cell, seed=seed, dense=dense,
     )
     return SweepResult(rows=rows, metadata=meta).sort()

@@ -252,15 +252,20 @@ def _prior(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Genera
 def _finalize(
     strings: list[str], node: np.ndarray, weights: np.ndarray, eval_counts: list[int], steps: int
 ) -> Ensemble:
-    """The ensemble of particles ``strings[node[i]]`` with ``weights[i]``."""
+    """The ensemble of particles ``strings[node[i]]`` with ``weights[i]``.
+
+    Every public method ends here, and this is the one place where a
+    finished run with no positive weight raises AllDead: such a run counts
+    as ``g_hat = 0``, which keeps the mean ``g_hat`` over runs unbiased.
+    """
     # Pairwise, so within a few roundings of the exact sum; math.fsum cost
     # 4% of a 1000-particle op on example-a1.
     total = float(weights.sum())
-    post: dict[str, float] = {}
-    if total > 0:
-        # bincount adds each node's terms in row order, as a running sum would.
-        sums = np.bincount(node, weights / total, minlength=len(strings))
-        post = {strings[k]: float(sums[k]) for k in (sums > 0).nonzero()[0].tolist()}
+    if total <= 0.0:
+        raise AllDead(f"all {node.shape[0]} particles finished with weight zero")
+    # bincount adds each node's terms in row order, as a running sum would.
+    sums = np.bincount(node, weights / total, minlength=len(strings))
+    post = {strings[k]: float(sums[k]) for k in (sums > 0).nonzero()[0].tolist()}
     return Ensemble(
         prefixes=np.array(strings, dtype=object)[node].tolist(),
         weights=weights,
@@ -279,17 +284,17 @@ def _run_smc(
     tau: float,
     seed: int,
     resample: str,
-    accept: Callable[[str], bool] | None = None,
-) -> Ensemble:
+) -> tuple[list[str], np.ndarray, np.ndarray, list[int], int]:
     """Grow ``n_particles`` rollouts from the empty prefix, ``proposal`` extending each.
 
     Every rollout runs until it draws end-of-string or dies; the model
     bounds its length (a ToyLM forces end-of-string at ``max_len``).
-    ``accept``, when given, is a whole-string check applied once per
-    distinct finished string; a rejected string's particles get weight zero.
-    Its evaluations on ``family.counter`` count in the last step's entry of
-    ``eval_counts``. Each public caller checks its particle count
-    (``check_count``) under its own argument name.
+    Returns the population for ``_finalize``: the prefix table ``strings``,
+    each particle's ``node`` in it and ``weights``, the evaluations counted
+    at each step, and the step count. Particles that all die at one step
+    raise AllDead there; an invalid empty prefix runs no step, and its zero
+    weights reach ``_finalize``, which raises. Each public caller checks its
+    particle count (``check_count``) under its own argument name.
     """
     _check_alphabet(family, lm.alphabet)
     if not (0.0 <= tau <= 1.0):
@@ -378,18 +383,7 @@ def _run_smc(
             active = active[idx]
             weights = np.full(n, total / n)
 
-    if accept is not None:
-        done = np.unique(node[weights > 0.0]).tolist()
-        kept = np.zeros(len(strings), dtype=bool)
-        before = family.counter.count
-        kept[done] = [accept(strings[k]) for k in done]
-        weights[~kept[node]] = 0.0
-        if done:
-            # The checks are the last step's constraint work.
-            eval_counts[-1] += family.counter.count - before
-    if float(weights.sum()) <= 0.0:
-        raise AllDead("no particle completed an accepted string")
-    return _finalize(strings, node, weights, eval_counts, steps)
+    return strings, node, weights, eval_counts, steps
 
 
 def smc_twist(
@@ -407,7 +401,7 @@ def smc_twist(
     end-of-string, the complete string) still satisfies the constraint.
     """
     n_particles = check_count("n_particles", n_particles, 1)
-    return _run_smc(lm, family, _twist, n_particles, tau, seed, resample)
+    return _finalize(*_run_smc(lm, family, _twist, n_particles, tau, seed, resample))
 
 
 def smc_pwp(
@@ -437,7 +431,7 @@ def smc_pwp(
         proposal = weighted_proposal(proposal, **proposal_params)
     elif proposal_params:
         raise ValueError(f"a callable proposal takes no {', '.join(sorted(proposal_params))}")
-    return _run_smc(lm, family, proposal, n_particles, tau, seed, resample)
+    return _finalize(*_run_smc(lm, family, proposal, n_particles, tau, seed, resample))
 
 
 def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
@@ -479,34 +473,33 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
         node.append(index.setdefault(prefix, len(index)))
         weights.append(w)
     eval_counts = [family.counter.count - eval_before]
-    weights = np.array(weights)
-    if float(weights.sum()) <= 0.0:
-        raise AllDead(f"all {n} rollouts reached a prefix with no valid mass")
-    return _finalize(list(index), np.array(node), weights, eval_counts, steps=1)
+    return _finalize(list(index), np.array(node), np.array(weights), eval_counts, steps=1)
 
 
 def sample_verify(lm: ToyLM, verifier, n: int, seed: int = 0) -> Ensemble:
     """Unconstrained rollouts kept or discarded by a whole-string check.
 
     ``verifier`` is a callable str -> bool or a language (any DfaPattern),
-    applied once per distinct finished string. A language's check counts
-    one evaluation on its counter, reported in the last step's entry of
-    ``eval_counts``; a callable's counts nothing. Raises AllDead if every
-    rollout fails.
+    applied once per distinct finished string, in node order. A language's
+    check counts one evaluation on its counter, reported in the last step's
+    entry of ``eval_counts``; a callable's counts nothing. Raises AllDead if
+    every rollout fails.
     """
     n = check_count("n", n, 1)
     _check_alphabet(verifier, lm.alphabet)
     anything = DfaPattern(["q"], lm.alphabet, {"q": {ch: "q" for ch in lm.alphabet}}, ["q"])
+    strings, node, weights, eval_counts, steps = _run_smc(lm, anything, _prior, n, 0.0, seed, "multinomial")
+    # Every rollout finished with weight 1; the checks are the last step's work.
+    done = np.unique(node).tolist()
+    kept = np.zeros(len(strings), dtype=bool)
     if callable(verifier):
-        check = verifier
+        kept[done] = [verifier(strings[k]) for k in done]
     else:
-        anything.counter = verifier.counter
-
-        def check(s: str) -> bool:
-            verifier.counter.add(1)
-            return s in verifier
-
-    return _run_smc(lm, anything, _prior, n, 0.0, seed, "multinomial", accept=check)
+        kept[done] = [verifier.accepts(strings[k]) for k in done]
+        verifier.counter.add(len(done))
+        eval_counts[-1] += len(done)
+    weights[~kept[node]] = 0.0
+    return _finalize(strings, node, weights, eval_counts, steps)
 
 
 def lcd_sample(lm: ToyLM, family, n: int, seed: int = 0, sampler: str = "ars") -> Ensemble:
@@ -534,4 +527,4 @@ def lcd_sample(lm: ToyLM, family, n: int, seed: int = 0, sampler: str = "ars") -
             raise DeadPrefix("a sampled prefix has no valid continuation") from e
         return tokens, np.ones(m)
 
-    return _run_smc(lm, family, propose, n, 0.0, seed, "multinomial")
+    return _finalize(*_run_smc(lm, family, propose, n, 0.0, seed, "multinomial"))

@@ -13,7 +13,8 @@ pools far smaller than the rounding error of 1, are handled exactly.
 
 ``support`` enumerates a model's whole support with
 ``zest.oracle.global_posterior``, and ``likeliest`` ranks it.
-``FixedUniforms`` stands in for a generator whose uniforms a test picks.
+``FixedUniforms`` stands in for a generator whose uniforms a test picks,
+and ``Walk`` runs a program once per sequence of random choices it can make.
 ``tv`` is the total variation distance between two estimated or exact
 distributions given as dicts. ``within_z`` checks an estimate against its
 exact value at a stated false-alarm rate.
@@ -297,3 +298,40 @@ class FixedUniforms:
     def random(self, n: int) -> np.ndarray:
         assert n == self.u.shape[0], "the test gave a different number of uniforms"
         return self.u.copy()
+
+
+class Walk:
+    """Every run of a program whose random points call ``pick``, depth-first.
+
+    ``pick(probs)`` returns the option the current run takes and multiplies
+    its probability into ``prob``. ``runs(program)`` calls ``program()``
+    once per distinct sequence of choices and yields ``(prob, result)``;
+    the probabilities sum to one. Given the same earlier choices, the
+    program must reach the same choice points.
+    """
+
+    def __init__(self):
+        self._path: list[list[int]] = []  # (option taken, option count) per choice point
+        self._depth = 0
+        self.prob = 1.0
+
+    def pick(self, probs) -> int:
+        if self._depth == len(self._path):
+            self._path.append([0, len(probs)])
+        taken, count = self._path[self._depth]
+        assert count == len(probs), "a replayed choice point offers other options"
+        self._depth += 1
+        self.prob *= probs[taken]
+        return taken
+
+    def runs(self, program):
+        while True:
+            self._depth, self.prob = 0, 1.0
+            result = program()
+            assert self._depth == len(self._path), "a replayed run made fewer choices"
+            yield self.prob, result
+            while self._path and self._path[-1][0] + 1 == self._path[-1][1]:
+                self._path.pop()
+            if not self._path:
+                return
+            self._path[-1][0] += 1

@@ -63,13 +63,18 @@ class TestBiasExperiment:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"n_instances": 0}, {"n_grid": []}, {"n_grid": [10, 0]}, {"workers": 0}, {"workers": -2}],
+        [
+            {"n_instances": 0}, {"n_grid": []}, {"n_grid": [10, 0]}, {"workers": 0}, {"workers": -2},
+            {"n_grid": [10.7]}, {"vocab": 10.5}, {"n_instances": True},
+        ],
         ids=repr,
     )
     def test_bad_argument_is_refused(self, bad):
         # Refused before any job runs; they used to return NaN or empty rows.
         # vocab 0, which used to loop forever, is checked through the CLI
         # under a timeout (tests/test_cli.py), so a regression cannot hang here.
+        # A fractional grid entry used to be truncated, a fractional vocab to
+        # fail inside the first job, and True to run as one instance.
         args = {**dict(vocab=10, n_instances=2, n_grid=[10], seed=1), **bad}
         with pytest.raises(ValueError, match=next(iter(bad))):
             bias_experiment(**args)
@@ -140,7 +145,10 @@ class TestVarianceSweep:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"n_instances": 0}, {"l_grid": []}, {"l_grid": [0, 1]}, {"runs": 0}, {"workers": 0}],
+        [
+            {"n_instances": 0}, {"l_grid": []}, {"l_grid": [0, 1]}, {"runs": 0}, {"workers": 0},
+            {"l_grid": [1.5]}, {"runs": 2.5}, {"vocab": 10.5}, {"n_instances": True},
+        ],
         ids=repr,
     )
     def test_bad_argument_is_refused(self, bad):
@@ -178,12 +186,16 @@ class TestHeatmap:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"vocab": 0}, {"vocab": 1}, {"runs_per_cell": 0}, {"workers": 0}, {"z_grid": []}, {"k_grid": []}],
+        [
+            {"vocab": 0}, {"vocab": 1}, {"runs_per_cell": 0}, {"workers": 0}, {"z_grid": []}, {"k_grid": []},
+            {"k_grid": [2.5]}, {"runs_per_cell": 2.5}, {"vocab": 5.5}, {"workers": True},
+        ],
         ids=repr,
     )
     def test_bad_argument_is_refused(self, bad):
         # vocab 1 and runs_per_cell 0 used to raise deep inside the sweep, and
         # vocab 0 wrote no rows; an empty grid used to run the default grid.
+        # k 2.5 used to run as k = 2, and runs_per_cell 2.5 to fail naming n.
         args = {**dict(vocab=5, runs_per_cell=10, seed=1), **bad}
         with pytest.raises(ValueError, match=next(iter(bad))):
             runtime_heatmap(**args)

@@ -1,15 +1,16 @@
 """Sequential Monte Carlo engines, resampling, and the bias-correction layer."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from enumeration import FixedUniforms, likeliest, tv
+from enumeration import FixedUniforms, Walk, enumerate_awrs, likeliest, tv
 from zest import smc
 from zest.constraints import DfaPattern, TrieLanguage
 from zest.dist import sample_many
-from zest.errors import AllDead, DeadPrefix
+from zest.errors import AllDead, DeadPrefix, NoValidToken
 from zest.oracle import global_posterior, lcd_distribution, token_mask
 from zest.rng import make_rng
 from zest.samplers import awrs_batch
@@ -748,6 +749,115 @@ class TestSampleVerify:
     def test_always_false_raises(self, lm):
         with pytest.raises(AllDead):
             sample_verify(lm, lambda s: False, n=50, seed=17)
+
+
+class TestEmptyLanguage:
+    """A language with no string: every method that weights its rollouts raises AllDead."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda lm, f: smc_pwp(lm, f, "awrs", 20, seed=1),
+            lambda lm, f: smc_pwp(lm, f, "exact", 20, seed=1),
+            lambda lm, f: smc_twist(lm, f, 20, seed=1),
+            lambda lm, f: importance_sample(lm, f, 20, seed=1),
+            lambda lm, f: sample_verify(lm, f, 20, seed=1),
+        ],
+        ids=["pwp-awrs", "pwp-exact", "twist", "is", "sample-verify"],
+    )
+    def test_all_dead(self, lm, run):
+        # The SMC engines take no step from an invalid empty prefix, and
+        # finishing a run with no positive weight raises.
+        with pytest.raises(AllDead):
+            run(lm, TrieLanguage([], alphabet=lm.alphabet))
+
+
+def awrs_outcomes(walk):
+    """A batch proposal giving each row an awrs (token, weight) outcome that ``walk`` picks.
+
+    The outcomes and their probabilities come from ``enumerate_awrs``, with
+    the traces that return the same token and weight merged: the engine
+    sees no more of a trace.
+    """
+
+    def propose(prior, c, n, rng):
+        law: dict = {}
+        for p, token, zhat, _ in enumerate_awrs(prior.probs.tolist(), c.evaluate_many(np.arange(prior.vocab_size))):
+            law[token, zhat] = law.get((token, zhat), 0.0) + p
+        if not law:
+            raise NoValidToken("no valid token")
+        outcomes, probs = list(law), list(law.values())
+        picked = [outcomes[walk.pick(probs)] for _ in range(n)]
+        return np.array([t for t, _ in picked]), np.array([z for _, z in picked])
+
+    return propose
+
+
+def multinomial_ancestors(walk, calls: list):
+    """A resampler giving each ancestor vector that ``walk`` picks its multinomial probability.
+
+    It appends the weights it resamples to ``calls``.
+    """
+
+    def resample(weights, rng):
+        calls.append(weights.copy())
+        p = weights / weights.sum()
+        vectors = [v for v in itertools.product(range(p.shape[0]), repeat=p.shape[0]) if all(p[list(v)] > 0)]
+        return np.array(vectors[walk.pick([math.prod(p[list(v)]) for v in vectors])])
+
+    return resample
+
+
+class TestExactJudge:
+    """E[g_hat] and E[g_hat * posterior(s)] over every run of the engine, without a seed.
+
+    Every random point of ``smc_pwp`` (each row's awrs outcome, each
+    ancestor vector) is a choice that ``Walk`` takes every way, and each
+    run is weighted by the probability of its choices. A run that raises
+    AllDead counts as ``g_hat = 0``. Unbiasedness is then an identity to
+    within rounding: E[g_hat] = g and E[g_hat * posterior(s)] = g * pi(s).
+    """
+
+    @pytest.mark.parametrize(
+        "pair, runs",
+        [
+            # Every run resamples at tau = 1 unless its two weights agree.
+            (lambda: (example_a1(), TrieLanguage(["aa", "ba"], alphabet=("a", "b"))), 114),
+            # Rollouts end at step 1 or 2, and one ending in "a" dies at
+            # max_len: resampling meets dead and finished particles, and 31%
+            # of the probability raises AllDead.
+            (lambda: (two_symbol_lm(2, [0.4, 0.3, 0.3]), ends_in_b()), 6183),
+        ],
+        ids=["a1", "ends-in-b"],
+    )
+    def test_unbiased(self, pair, runs, monkeypatch):
+        lm, family = pair()
+        walk, resamples = Walk(), []
+        monkeypatch.setitem(smc._RESAMPLERS, "multinomial", multinomial_ancestors(walk, resamples))
+        proposal = awrs_outcomes(walk)
+
+        def run():
+            try:
+                return smc_pwp(lm, family, proposal, n_particles=2, tau=1.0)
+            except AllDead:
+                return None
+
+        exact = global_posterior(lm, family)
+        total = mean_g = 0.0
+        mean_g_pi = dict.fromkeys(exact.dist, 0.0)
+        seen = 0
+        for prob, ens in walk.runs(run):
+            seen += 1
+            total += prob
+            if ens is not None:
+                mean_g += prob * ens.g_hat
+                for s, p in ens.posterior_estimate.items():
+                    mean_g_pi[s] += prob * ens.g_hat * p
+        assert seen == runs and resamples
+        assert abs(total - 1.0) <= 1e-12
+        assert abs(mean_g - exact.g) <= 1e-12
+        for s, p in exact.dist.items():
+            assert abs(mean_g_pi[s] - exact.g * p) <= 1e-12, s
 
 
 class TestLcdGenerate:

@@ -14,7 +14,9 @@ hash covers, for fixed seeds:
 - ``importance_sample``, ``lcd_sample`` (``sampler="mask"`` and ``"ars"``)
   and ``smc_pwp(..., "exact")`` on those pairs and the trie pair;
 - ``smc_pwp`` with each weighted kernel, ``smc_twist`` and
-  ``sample_verify`` on the two small pairs;
+  ``sample_verify`` on the two small pairs, the latter with the language,
+  with a callable verifier (strings ending in ``a``) and with one that
+  passes everything (the CLI's ``lm`` method);
 - every ``*_batch`` kernel at V in {2, 3, 8, 9, 50} on Dirichlet priors,
   priors with zero-mass tokens and point masses, under random, all-valid
   and all-invalid constraints: each output array, or the error raised, the
@@ -86,6 +88,8 @@ def output_hash(tree: str) -> str:
                 ensemble(smc_pwp, m, f, kernel, 200, seed=seed)
             ensemble(smc_twist, m, f, 200, seed=seed)
             ensemble(sample_verify, m, f, 200, seed=seed)
+            ensemble(sample_verify, m, lambda s: s.endswith("a"), 200, seed=seed)
+            ensemble(sample_verify, m, lambda s: True, 200, seed=seed)
     kernels = ("rs", "ars", "wrs", "awrs", "cawrs", "cwrs", "gawrs", "rawrs")
     for vocab in (2, 3, 8, 9, 50):
         for i in range(12):
