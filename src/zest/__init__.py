@@ -16,7 +16,7 @@ The library provides, at desk scale and with exact reference oracles:
 from . import analytics, constraints, dist, errors, oracle, rng, samplers, smc, toylm
 from .constraints import DfaPattern, TokenConstraint, TrieLanguage
 from .dist import Categorical, normalize, sample
-from .oracle import LocalPosterior, global_posterior, lcd_distribution, token_mask
+from .oracle import global_posterior, lcd_distribution, token_mask
 from .rng import make_rng
 from .samplers import (
     ars_batch,

@@ -25,7 +25,7 @@ from .constraints import DfaPattern, TrieLanguage
 from .dist import Categorical
 from .errors import ZestError
 from .samplers import top_p_compose
-from .toylm import BUILTIN_MODELS, ToyLM, builtin_model
+from .toylm import BUILTIN_MODELS, ToyLM
 
 # The options each method reads, beyond --model, --n, --top-p, --seed and
 # --out, which every run reads. An option given to a method that does not
@@ -52,7 +52,7 @@ BUILTIN_LANGUAGES = {
 
 def _load_model(source: str) -> ToyLM:
     if source in BUILTIN_MODELS:
-        return builtin_model(source)
+        return BUILTIN_MODELS[source]()
     if Path(source).exists():
         try:
             return ToyLM.from_json(source)

@@ -31,7 +31,6 @@ __all__ = [
     "TokenConstraint",
     "TrieLanguage",
     "DfaPattern",
-    "blackbox_constraint",
     "mask_constraint",
 ]
 
@@ -81,19 +80,6 @@ def mask_constraint(valid: np.ndarray, counter: EvalCounter | None = None) -> To
     return TokenConstraint(np.asarray(valid, dtype=bool).__getitem__, counter)
 
 
-def blackbox_constraint(
-    fn: Callable[[str, int], bool],
-    prefix: str = "",
-    counter: EvalCounter | None = None,
-) -> TokenConstraint:
-    """Wrap an arbitrary pure ``(prefix, token) -> bool`` predicate."""
-
-    def many(tokens: np.ndarray) -> np.ndarray:
-        return np.fromiter((fn(prefix, int(t)) for t in tokens), dtype=bool, count=tokens.shape[0])
-
-    return TokenConstraint(many, counter)
-
-
 class DfaPattern:
     """A deterministic automaton over the symbol alphabet, compiled to tables.
 
@@ -104,12 +90,17 @@ class DfaPattern:
     ``valid`` is the read-only ``(S+1) x (alphabet_size+1)`` accept mask:
     row ``s`` allows a symbol whose transition stays live, and allows
     end-of-string when ``s`` accepts. State names are any hashable
-    values; an undeclared state, start or symbol raises ValueError.
+    values; a repeated state name, or an undeclared state, start or
+    symbol, raises ValueError.
     """
 
     def __init__(self, states, alphabet, transitions, accepting, start=None):
         names = list(states)
-        index = {name: i for i, name in enumerate(names)}
+        index = {}
+        for name in names:
+            if name in index:
+                raise ValueError(f"repeated state {name!r}")
+            index[name] = len(index)
 
         def state_id(name):
             if name not in index:

@@ -161,7 +161,8 @@ def sample(dist: Categorical, rng: np.random.Generator) -> int:
 
     The scalar form of ``sample_many``: it returns the token that
     ``sample_many(dist, 1, rng)[0]`` returns and leaves ``rng`` in the same
-    state, without building arrays for a batch of one.
+    state, without building arrays for a batch of one. Its callers are
+    ``importance_sample``'s per-step draw and the benchmark's ``trie_pair``.
     """
     if dist._point >= 0:
         return dist._point

@@ -19,7 +19,6 @@ from .errors import DeadPrefix, EmptyPosterior, NoValidToken
 from .toylm import ToyLM
 
 __all__ = [
-    "LocalPosterior",
     "token_mask",
     "GlobalPosterior",
     "global_posterior",
@@ -28,27 +27,20 @@ __all__ = [
 ]
 
 
-@dataclass
-class LocalPosterior:
-    """The prior restricted to valid tokens, with its normalizing mass z."""
-
-    post: Categorical
-    z: float
-
-
-def token_mask(prior: Categorical, c: TokenConstraint) -> LocalPosterior:
+def token_mask(prior: Categorical, c: TokenConstraint) -> tuple[Categorical, float]:
     """Exact local posterior by evaluating the constraint on every token.
 
-    This is the full-vocabulary enumeration path: it always costs exactly
-    ``vocab_size`` constraint evaluations and yields the exact z, unlike
-    the rejection samplers which trade exact z for far fewer evaluations.
-    The posterior is derived from the checked prior by
-    ``Categorical.masked``, which fills the fields a checked build of
-    ``prior.probs * valid / z`` would have, without rerunning its checks.
+    Returns the pair ``(post, z)``: the prior restricted to valid tokens
+    and its normalizing mass. This is the full-vocabulary enumeration
+    path: it always costs exactly ``vocab_size`` constraint evaluations and
+    yields the exact z, unlike the rejection samplers which trade exact z
+    for far fewer evaluations. The pair is ``Categorical.masked``'s, which
+    derives the posterior from the checked prior and fills the fields a
+    checked build of ``prior.probs * valid / z`` would have, without
+    rerunning its checks.
     Raises NoValidToken when no valid token has prior mass (z = 0).
     """
-    post, z = prior.masked(c.evaluate_many(np.arange(prior.vocab_size, dtype=np.int64)))
-    return LocalPosterior(post=post, z=z)
+    return prior.masked(c.evaluate_many(np.arange(prior.vocab_size, dtype=np.int64)))
 
 
 @dataclass
@@ -113,11 +105,11 @@ def lcd_distribution(lm: ToyLM, family: DfaPattern) -> LcdDistribution:
     while stack:
         prefix, path_p, path_w = stack.pop()
         try:
-            local = token_mask(lm.next_dist(prefix), family.constraint_at(prefix))
+            local, z = token_mask(lm.next_dist(prefix), family.constraint_at(prefix))
         except NoValidToken as e:
             raise DeadPrefix(f"prefix {prefix!r} has no valid continuation") from e
-        post = local.post.probs
-        w = path_w * local.z
+        post = local.probs
+        w = path_w * z
         p_eos = float(post[lm.eos])
         if p_eos > 0:
             out_p[prefix] = path_p * p_eos

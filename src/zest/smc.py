@@ -85,7 +85,10 @@ __all__ = [
 
 @dataclass(slots=True)
 class Particle:
-    """One particle's string and weight (zero unless it completed a string)."""
+    """One particle's string and weight (zero unless it completed a string).
+
+    ``Ensemble.particles`` builds them for the benchmark's draw count.
+    """
 
     prefix: str
     weight: float
@@ -108,7 +111,7 @@ class Ensemble:
 
     @property
     def particles(self) -> list[Particle]:
-        """The population as Particle records, built on each read."""
+        """The population as Particle records, built on each read, for the benchmark's draw count."""
         return [Particle(s, w) for s, w in zip(self.prefixes, self.weights.tolist())]
 
     @property
@@ -188,8 +191,8 @@ Proposal = Callable[[Categorical, TokenConstraint, int, np.random.Generator], tu
 
 
 def _exact(prior: Categorical, c: TokenConstraint, n: int, rng: np.random.Generator):
-    local = token_mask(prior, c)
-    return sample_many(local.post, n, rng), np.full(n, local.z)
+    post, z = token_mask(prior, c)
+    return sample_many(post, n, rng), np.full(n, z)
 
 
 # Weighted batch kernels by proposal name; a kernel's knobs are its
@@ -461,12 +464,12 @@ def importance_sample(lm: ToyLM, family, n: int, seed: int = 0) -> Ensemble:
             if c is None:
                 c = constraints[prefix] = family.constraint_at(prefix)
             try:
-                local = token_mask(lm.next_dist(prefix), c)
+                post, z = token_mask(lm.next_dist(prefix), c)
             except NoValidToken:
                 w = 0.0
                 break
-            w *= local.z
-            token = sample(local.post, rng)
+            w *= z
+            token = sample(post, rng)
             if token == lm.eos:
                 break
             prefix += lm.alphabet[token]
@@ -522,7 +525,7 @@ def lcd_sample(lm: ToyLM, family, n: int, seed: int = 0, sampler: str = "ars") -
             if sampler == "ars":
                 tokens = ars_batch(prior, c, m, rng).tokens
             else:
-                tokens = sample_many(token_mask(prior, c).post, m, rng)
+                tokens = sample_many(token_mask(prior, c)[0], m, rng)
         except NoValidToken as e:
             raise DeadPrefix("a sampled prefix has no valid continuation") from e
         return tokens, np.ones(m)

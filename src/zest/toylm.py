@@ -10,7 +10,9 @@ Token ids: symbol ``i`` of the alphabet is token ``i``; end-of-string is
 token ``alphabet_size``. Conditional tables are keyed by the last
 ``min(k, len(prefix))`` symbols of the prefix. Each row becomes one
 ``Categorical`` when the model is made, which refuses a row that is not a
-distribution, so ``next_dist`` is a lookup.
+distribution, so ``next_dist`` is a lookup. The model owns its rows: it
+keeps read-only copies in a new ``tables`` dict, so a caller that later
+changes an array it passed in changes neither ``tables`` nor the draws.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import PrefixTooLong
 from .jsondoc import read_json
 from .rng import make_rng
 
-__all__ = ["ToyLM", "random_lm", "example_a1", "builtin_model", "BUILTIN_MODELS"]
+__all__ = ["ToyLM", "random_lm", "example_a1", "BUILTIN_MODELS"]
 
 
 @dataclass
@@ -46,15 +48,18 @@ class ToyLM:
             raise ValueError(f"order and max_len must be >= 0, not {self.order} and {self.max_len}")
         width = len(self.alphabet) + 1
         self._dists = {}
-        for ctx, row in list(self.tables.items()):
-            row = np.asarray(row, dtype=np.float64)
+        tables = {}
+        for ctx, row in self.tables.items():
+            row = np.array(row, dtype=np.float64)
+            row.flags.writeable = False
             if row.shape != (width,):
                 raise ValueError(f"table row for context {ctx!r} has wrong width")
             try:
                 self._dists[ctx] = Categorical(row)
             except ValueError as e:
                 raise ValueError(f"table row for context {ctx!r} is not a distribution: {e}") from None
-            self.tables[ctx] = row
+            tables[ctx] = row
+        self.tables = tables
         self._eos_forced = Categorical(np.arange(width) == self.eos)
 
     @property
@@ -98,6 +103,11 @@ class ToyLM:
         return p
 
     def to_json(self) -> str:
+        """The model as the JSON text ``from_json`` reads.
+
+        This is how a ``random_lm`` reaches the CLI: ``zest generate
+        --model`` takes a file of this text.
+        """
         doc = {
             "alphabet": list(self.alphabet),
             "k": self.order,
@@ -167,11 +177,5 @@ def example_a1() -> ToyLM:
     )
 
 
+# The models ``zest generate --model`` knows by name.
 BUILTIN_MODELS = {"example-a1": example_a1}
-
-
-def builtin_model(name: str) -> ToyLM:
-    try:
-        return BUILTIN_MODELS[name]()
-    except KeyError:
-        raise KeyError(f"unknown builtin model {name!r}; choices: {sorted(BUILTIN_MODELS)}")

@@ -373,8 +373,11 @@ class TestExitCodes:
             ["--pattern", "/nonexistent/dfa.json"],
             ["--pattern", json.dumps({"states": ["q0"], "alphabet": ["a", "b"],
                                       "transitions": {"q0": {"a": "q9"}}, "accepting": ["q0"]})],
+            ["--pattern", json.dumps({"states": ["q", "q"], "alphabet": ["a", "b"],
+                                      "transitions": {"q": {"a": "q", "b": "q"}}, "accepting": ["q"]})],
         ],
-        ids=["symbol-outside-alphabet", "missing-key", "bad-json", "missing-file", "undeclared-state"],
+        ids=["symbol-outside-alphabet", "missing-key", "bad-json", "missing-file", "undeclared-state",
+             "repeated-state"],
     )
     def test_malformed_constraint_is_two(self, runner, tmp_path, constraint):
         bad_symbols = tmp_path / "lang.txt"
@@ -382,6 +385,11 @@ class TestExitCodes:
         args = [str(bad_symbols) if x == "BADSYM" else x for x in constraint]
         result = runner.invoke(main, ["generate", "--method", "is", *args])
         assert result.exit_code == 2, result.output
+
+    def test_unknown_model_is_two(self, runner):
+        result = runner.invoke(main, ["generate", "--model", "nope", "--language", "{a}", "--method", "is"])
+        assert result.exit_code == 2, result.output
+        assert "unknown model 'nope'" in result.output
 
     @pytest.mark.parametrize(
         "text, message",

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from zest.constraints import (
     DfaPattern,
     TrieLanguage,
-    blackbox_constraint,
     mask_constraint,
 )
 
@@ -124,6 +123,11 @@ class TestDfaConstraint:
         with pytest.raises(ValueError):
             DfaPattern(**{**doc, **change})
 
+    def test_repeated_state_raises_naming_it(self):
+        # Before this check, ["q", "q"] built a 3-row table for one state.
+        with pytest.raises(ValueError, match="repeated state 'q'"):
+            DfaPattern(["q", "q"], ["a"], {"q": {"a": "q"}}, ["q"])
+
     def test_from_json_missing_key_raises(self):
         with pytest.raises(ValueError, match="transitions"):
             DfaPattern.from_json('{"states": ["q0"], "alphabet": ["a"], "accepting": []}')
@@ -131,24 +135,6 @@ class TestDfaConstraint:
     def test_mask_table_is_read_only(self, a_star_b):
         with pytest.raises(ValueError):
             a_star_b.valid_next("a")[0] = False
-
-
-class TestBlackbox:
-    def test_always_true_counts(self):
-        c = blackbox_constraint(lambda prefix, t: True)
-        assert c.evaluate_many(np.arange(5)).all()
-        assert c.eval_count == 5
-
-    def test_even_ids(self):
-        c = blackbox_constraint(lambda prefix, t: t % 2 == 0)
-        assert accepted_set(c, 6) == {0, 2, 4}
-
-    def test_prefix_sensitive_gate(self):
-        fn = lambda prefix, t: (len(prefix) + t) % 2 == 0
-        even = blackbox_constraint(fn, prefix="xx")
-        odd = blackbox_constraint(fn, prefix="x")
-        assert accepted_set(even, 4) == {0, 2}
-        assert accepted_set(odd, 4) == {1, 3}
 
 
 class TestCounting:

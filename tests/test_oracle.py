@@ -20,15 +20,15 @@ from zest.toylm import example_a1, random_lm
 class TestTokenMask:
     def test_vacuous_constraint(self):
         prior = Categorical(np.array([0.9, 0.1]))
-        local = token_mask(prior, mask_constraint(np.array([True, True])))
-        assert local.z == pytest.approx(1.0)
-        np.testing.assert_allclose(local.post.probs, prior.probs)
+        post, z = token_mask(prior, mask_constraint(np.array([True, True])))
+        assert z == pytest.approx(1.0)
+        np.testing.assert_allclose(post.probs, prior.probs)
 
     def test_tiny_valid_mass(self):
         prior = Categorical(np.array([0.01, 0.99]))
-        local = token_mask(prior, mask_constraint(np.array([True, False])))
-        assert local.z == pytest.approx(0.01)
-        np.testing.assert_allclose(local.post.probs, [1.0, 0.0])
+        post, z = token_mask(prior, mask_constraint(np.array([True, False])))
+        assert z == pytest.approx(0.01)
+        np.testing.assert_allclose(post.probs, [1.0, 0.0])
 
     def test_no_valid_token(self):
         prior = Categorical(np.array([0.5, 0.5]))
@@ -53,9 +53,9 @@ class TestTokenMask:
             with pytest.raises(NoValidToken):
                 token_mask(prior, mask_constraint(valid))
             return
-        local = token_mask(prior, mask_constraint(valid))
-        assert np.float64(local.z).tobytes() == np.float64(z).tobytes()
-        assert local.post.probs.tobytes() == (ref / z).tobytes()
+        post, got = token_mask(prior, mask_constraint(valid))
+        assert np.float64(got).tobytes() == np.float64(z).tobytes()
+        assert post.probs.tobytes() == (ref / z).tobytes()
 
     def test_costs_full_vocabulary(self):
         prior = normalize(np.ones(7))

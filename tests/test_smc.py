@@ -353,7 +353,7 @@ class TestGroupedEngine:
 
     def test_exact_proposal_weights_every_row_by_z(self, lm, lang):
         prior = lm.next_dist("")
-        z = token_mask(prior, lang.constraint_at("")).z
+        _, z = token_mask(prior, lang.constraint_at(""))
         before = lang.counter.count
         tokens, w = weighted_proposal("exact")(prior, lang.constraint_at(""), 50, make_rng(70))
         np.testing.assert_array_equal(w, np.full(50, z))
@@ -808,37 +808,105 @@ def multinomial_ancestors(walk, calls: list):
     return resample
 
 
+def walked_uniform(walk, cuts) -> float:
+    """A uniform on [0, 1) that ``walk`` places in one of the cells ``cuts`` make.
+
+    A cell's probability is its width, and the cell's midpoint is returned:
+    code that only compares the uniform with ``cuts`` acts as on a real draw.
+    """
+    edges = np.unique(np.clip(np.concatenate([[0.0], cuts, [1.0]]), 0.0, 1.0))
+    k = walk.pick(np.diff(edges).tolist())
+    return (edges[k] + edges[k + 1]) / 2
+
+
+class Uniforms:
+    """A generator stand-in whose one ``random(n)`` call returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.array(u)
+
+    def random(self, n):
+        assert n == self.u.shape[0]
+        return self.u
+
+
+def stratified_ancestors(walk, calls: list):
+    """``resample_stratified`` with each stratum's uniform picked by ``walk``.
+
+    Stratum i of N takes ancestor j with probability N times the overlap of
+    ``[i/N, (i+1)/N)`` with j's cumulative-weight interval. It appends the
+    weights it resamples to ``calls``.
+    """
+    resample_stratified = smc.resample_stratified
+
+    def resample(weights, rng):
+        calls.append(weights.copy())
+        n = weights.shape[0]
+        cum = np.cumsum(weights / weights.sum())
+        return resample_stratified(weights, Uniforms([walked_uniform(walk, n * cum - i) for i in range(n)]))
+
+    return resample
+
+
+def twist_outcomes(walk):
+    """``smc._twist`` with each row's uniform picked by ``walk``.
+
+    Each row takes each positive-mass token with its prior probability, and
+    ``_twist`` weights it by the 0/1 constraint.
+    """
+    twist = smc._twist
+
+    def propose(prior, c, n, rng):
+        cuts = prior._cum[:-1] / prior._cum[-1]
+        return twist(prior, c, n, Uniforms([walked_uniform(walk, cuts) for _ in range(n)]))
+
+    return propose
+
+
 class TestExactJudge:
     """E[g_hat] and E[g_hat * posterior(s)] over every run of the engine, without a seed.
 
-    Every random point of ``smc_pwp`` (each row's awrs outcome, each
-    ancestor vector) is a choice that ``Walk`` takes every way, and each
-    run is weighted by the probability of its choices. A run that raises
-    AllDead counts as ``g_hat = 0``. Unbiasedness is then an identity to
-    within rounding: E[g_hat] = g and E[g_hat * posterior(s)] = g * pi(s).
+    Every random point of a run (each row's proposal outcome, each ancestor
+    vector) is a choice that ``Walk`` takes every way, and each run is
+    weighted by the probability of its choices. A run that raises AllDead
+    counts as ``g_hat = 0``. Unbiasedness is then an identity to within
+    rounding: E[g_hat] = g and E[g_hat * posterior(s)] = g * pi(s). The
+    stratified and twist cases run the library's ``resample_stratified``
+    and ``_twist`` on walked uniforms.
     """
 
     @pytest.mark.parametrize(
-        "pair, runs",
+        "pair, method, runs",
         [
             # Every run resamples at tau = 1 unless its two weights agree.
-            (lambda: (example_a1(), TrieLanguage(["aa", "ba"], alphabet=("a", "b"))), 114),
+            (lambda: (example_a1(), TrieLanguage(["aa", "ba"], alphabet=("a", "b"))), "awrs", 114),
             # Rollouts end at step 1 or 2, and one ending in "a" dies at
             # max_len: resampling meets dead and finished particles, and 31%
             # of the probability raises AllDead.
-            (lambda: (two_symbol_lm(2, [0.4, 0.3, 0.3]), ends_in_b()), 6183),
+            (lambda: (two_symbol_lm(2, [0.4, 0.3, 0.3]), ends_in_b()), "awrs", 6183),
+            # At N = 2 a stratified resample has at most 2 ancestor vectors, not 4.
+            (lambda: (example_a1(), TrieLanguage(["aa", "ba"], alphabet=("a", "b"))), "awrs-stratified", 62),
+            (lambda: (two_symbol_lm(2, [0.4, 0.3, 0.3]), ends_in_b()), "awrs-stratified", 1989),
+            # Twist weights are 0 or 1: a run resamples only when one particle dies.
+            (lambda: (example_a1(), TrieLanguage(["aa", "ba"], alphabet=("a", "b"))), "twist", 16),
+            (lambda: (two_symbol_lm(2, [0.4, 0.3, 0.3]), ends_in_b()), "twist", 73),
         ],
-        ids=["a1", "ends-in-b"],
+        ids=["a1", "ends-in-b", "a1-stratified", "ends-in-b-stratified", "a1-twist", "ends-in-b-twist"],
     )
-    def test_unbiased(self, pair, runs, monkeypatch):
+    def test_unbiased(self, pair, method, runs, monkeypatch):
         lm, family = pair()
         walk, resamples = Walk(), []
         monkeypatch.setitem(smc._RESAMPLERS, "multinomial", multinomial_ancestors(walk, resamples))
+        monkeypatch.setitem(smc._RESAMPLERS, "stratified", stratified_ancestors(walk, resamples))
+        monkeypatch.setattr(smc, "_twist", twist_outcomes(walk))
         proposal = awrs_outcomes(walk)
 
         def run():
             try:
-                return smc_pwp(lm, family, proposal, n_particles=2, tau=1.0)
+                if method == "twist":
+                    return smc_twist(lm, family, n_particles=2, tau=1.0)
+                resample = "stratified" if method == "awrs-stratified" else "multinomial"
+                return smc_pwp(lm, family, proposal, n_particles=2, tau=1.0, resample=resample)
             except AllDead:
                 return None
 

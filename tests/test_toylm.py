@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from enumeration import support
+from zest.dist import sample_many
 from zest.errors import PrefixTooLong
-from zest.toylm import ToyLM, builtin_model, example_a1, random_lm
+from zest.rng import make_rng
+from zest.toylm import ToyLM, example_a1, random_lm
 
 
 class TestExampleModel:
@@ -33,11 +35,6 @@ class TestExampleModel:
         assert lm.string_prob("aa") == pytest.approx(0.009)
         assert lm.string_prob("ba") == pytest.approx(0.099)
         assert lm.string_prob("bb") == pytest.approx(0.001)
-
-    def test_builtin_lookup(self):
-        assert builtin_model("example-a1").alphabet == ("a", "b")
-        with pytest.raises(KeyError):
-            builtin_model("nope")
 
 
 class TestDegenerateModels:
@@ -120,3 +117,22 @@ class TestJsonFormat:
         assert lm.next_dist("").probs[0] == 0.5
         with pytest.raises(ValueError, match="'b'"):
             lm.next_dist("ab")
+
+
+class TestOwnedRows:
+    def test_owns_its_rows(self):
+        row = np.array([0.5, 0.5, 0.0])
+        tables = {"": row}
+        lm = ToyLM(alphabet=("a", "b"), order=0, max_len=2, tables=tables)
+        row[:] = [0.0, 0.0, 1.0]
+        np.testing.assert_array_equal(lm.tables[""], [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(lm.next_dist("").probs, [0.5, 0.5, 0.0])
+        assert set(sample_many(lm.next_dist(""), 100, make_rng(0)).tolist()) == {0, 1}
+        with pytest.raises(ValueError):
+            lm.tables[""][0] = 1.0
+
+    def test_leaves_the_callers_dict_untouched(self):
+        row = [0.5, 0.5, 0.0]
+        tables = {"": row}
+        lm = ToyLM(alphabet=("a", "b"), order=0, max_len=2, tables=tables)
+        assert tables[""] is row and lm.tables is not tables

@@ -104,9 +104,8 @@ def output_hash(tree: str) -> str:
             half, most = g.random(vocab) < 0.5, g.random(vocab) < 0.8
             valid = (np.zeros(vocab, dtype=bool), np.ones(vocab, dtype=bool), half, most)[i % 4]
             try:
-                local = token_mask(prior, mask_constraint(valid))
-                post = local.post
-                put((post.probs.tobytes(), post.total, post._cum.tobytes(), post._point, local.z))
+                post, z = token_mask(prior, mask_constraint(valid))
+                put((post.probs.tobytes(), post.total, post._cum.tobytes(), post._point, z))
             except ZestError as err:
                 put((type(err).__name__, str(err)))
             for name in kernels:
